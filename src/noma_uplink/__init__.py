@@ -8,9 +8,7 @@ probability, and a reproducible Monte Carlo BER harness.
 """
 
 from .bounds import (
-    AbepBound,
     ErrorEvent,
-    PepRecord,
     PepTableRow,
     enumerate_error_events,
     error_event_pep_table,
@@ -20,7 +18,6 @@ from .bounds import (
     pep_bound,
     symmetry_gaps,
     table_abep_bounds,
-    union_bound_abep,
     union_bound_value,
 )
 from .channel import (

@@ -31,7 +31,7 @@ from .bounds import (
     union_bound_value,
 )
 from .constellation import build_constellation
-from .channel import NoiseModel
+from .channel import NoiseModel, validate_alpha
 from .montecarlo import (
     DEFAULT_SEED,
     SimConfig,
@@ -54,12 +54,19 @@ def _fmt_complex(z):
 
 def _alpha_value(text):
     try:
-        a = float(text)
+        return validate_alpha(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _positive_int(text):
+    try:
+        n = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (0.5 <= a < 1.0):
-        raise argparse.ArgumentTypeError(f"alpha must be in [0.5, 1), got {text}")
-    return a
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
+    return n
 
 
 def _parse_grid(text):
@@ -86,11 +93,7 @@ def _parse_grid(text):
 
 
 def _alpha_grid(text):
-    values = _parse_grid(text)
-    for v in values:
-        if not (0.5 <= v < 1.0):
-            raise argparse.ArgumentTypeError(f"alpha {v} outside [0.5, 1)")
-    return values
+    return [_alpha_value(v) for v in _parse_grid(text)]
 
 
 def _write_manifest(fh, subcommand, params, seed=None):
@@ -301,12 +304,14 @@ def build_parser():
     p.add_argument("--alpha-list", type=_alpha_grid, required=True,
                    help="comma list (or start:stop:step), within [0.5, 1)")
     p.add_argument("--snr-grid-db", type=_parse_grid, required=True)
+    # a string default goes through ``type``, so a bad NOMA_UPLINK_SEED is a
+    # usage error of this subcommand only
     p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("NOMA_UPLINK_SEED", DEFAULT_SEED)))
-    p.add_argument("--min-errors", type=int, default=200)
-    p.add_argument("--max-codewords", type=int, default=100_000_000)
-    p.add_argument("--chunk-size", type=int, default=10_000)
-    p.add_argument("--workers", type=int, default=1)
+                   default=os.environ.get("NOMA_UPLINK_SEED", DEFAULT_SEED))
+    p.add_argument("--min-errors", type=_positive_int, default=200)
+    p.add_argument("--max-codewords", type=_positive_int, default=100_000_000)
+    p.add_argument("--chunk-size", type=_positive_int, default=10_000)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ber)
 

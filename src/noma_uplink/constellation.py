@@ -16,6 +16,7 @@ never by floating-point comparison of coordinates.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 QPSK = "qpsk"
 QAM16 = "qam16"
@@ -34,8 +35,11 @@ class Constellation:
     M: int
     bits_per_symbol: int
 
-    def index_of_label(self, label):
-        return int(label, 2)
+    @cached_property
+    def hamming(self):
+        """M x M Hamming distances between bit labels: ``hamming[a][b]``."""
+        return tuple(tuple(sum(x != y for x, y in zip(la, lb)) for lb in self.labels)
+                     for la in self.labels)
 
 
 @dataclass(frozen=True)
@@ -83,8 +87,7 @@ def bit_distance(c, a, b):
     """Hamming distance between the labels of points ``a`` and ``b``."""
     if not (0 <= a < c.M and 0 <= b < c.M):
         raise IndexError(f"symbol index out of range for M={c.M}: ({a}, {b})")
-    la, lb = c.labels[a], c.labels[b]
-    return sum(x != y for x, y in zip(la, lb))
+    return c.hamming[a][b]
 
 
 def _check_member(c, w):

@@ -116,12 +116,7 @@ class _Kernel:
         self.cand_i2 = k % c.M
         self.cand_x1 = self.s1 * self.points[self.cand_i1]
         self.cand_x2 = self.s2 * self.points[self.cand_i2]
-        # per-symbol Hamming distance lookup
-        label_ints = [int(lbl, 2) for lbl in c.labels]
-        self.sym_dist = np.array(
-            [[bin(a ^ b).count("1") for b in label_ints] for a in label_ints],
-            dtype=np.int64,
-        )
+        self.sym_dist = np.array(c.hamming, dtype=np.int64)
 
     def run_slice(self, u):
         """Bit errors in a slice of trials; ``u`` is (n, DRAWS_PER_TRIAL)."""

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from noma_uplink import (
     build_constellation,
+    enumerate_codewords,
     enumerate_error_events,
     error_event_pep_table,
     event_norm,
@@ -24,7 +25,6 @@ from noma_uplink import (
     pep_bound,
     symmetry_gaps,
     table_abep_bounds,
-    union_bound_abep,
     union_bound_value,
 )
 
@@ -227,6 +227,13 @@ class TestPepTable:
         assert rows["E15"].pep_alpha_hi == pytest.approx(2.5e-5, rel=0.01)
 
 
+@pytest.fixture(scope="module")
+def all_error_events():
+    """Every error event of every transmitted codeword, from the scalar path."""
+    return {c.kind: [e for tx in enumerate_codewords(c) for e in enumerate_error_events(c, tx)]
+            for c in (QPSK, QAM16)}
+
+
 class TestUnionBound:
     def test_qpsk_totals_near_reported_values(self):
         assert union_bound_value(QPSK, 0.5, 0.01) == pytest.approx(8e-4, rel=0.15)
@@ -240,23 +247,19 @@ class TestUnionBound:
         assert union_bound_value(QPSK, 0.5, 0.01) == pytest.approx(lo, rel=1e-15)
         assert union_bound_value(QPSK, 0.9, 0.01) == pytest.approx(hi, rel=1e-15)
 
-    def test_record_assembly_matches_value(self):
-        for c in (QPSK, QAM16):
-            ab = union_bound_abep(c, 0.8, 0.01)
-            assert ab.bound == union_bound_value(c, 0.8, 0.01)
-            assert len(ab.per_event) == c.M**2 * (c.M**2 - 1)
-            reassembled = math.fsum(r.n_bits * r.pep for r in ab.per_event)
-            reassembled /= c.M**2 * 2 * c.bits_per_symbol
-            assert ab.bound == pytest.approx(reassembled, rel=1e-15)
-
-    def test_per_event_records_match_enumeration(self):
-        # First M^2 - 1 records belong to the first transmitted codeword and
-        # must agree with the public per-codeword enumeration.
-        ab = union_bound_abep(QPSK, 0.9, 0.01)
-        events = enumerate_error_events(QPSK, make_codeword(QPSK, 0, 0))
-        for rec, ev in zip(ab.per_event[:15], events):
-            assert (rec.u, rec.v, rec.n_bits) == (ev.u, ev.v, ev.n_bits)
-            assert rec.d2 == pytest.approx(ev.norm_sq(0.9), rel=1e-14)
+    @pytest.mark.parametrize("c", [QPSK, QAM16], ids=["qpsk", "qam16"])
+    def test_equals_scalar_per_event_sum(self, c, all_error_events):
+        # The distance spectrum must reproduce the plain per-event fsum
+        # exactly, not merely within rounding.
+        events = all_error_events[c.kind]
+        assert len(events) == c.M**2 * (c.M**2 - 1)
+        for alpha in (0.5, 0.61, 0.75, 0.9, 0.99):
+            for ebn0_db in (0, 8, 16, 24, 32, 40):
+                n0 = 10.0 ** (-ebn0_db / 10.0)
+                expected = math.fsum(e.n_bits * pep_bound(e.norm_sq(alpha), n0)
+                                     for e in events)
+                expected /= c.M**2 * 2 * c.bits_per_symbol
+                assert union_bound_value(c, alpha, n0) == expected, (alpha, ebn0_db)
 
     @pytest.mark.parametrize("c", [QPSK, QAM16])
     @pytest.mark.parametrize("n0", [0.1, 0.01, 0.001])

@@ -153,6 +153,24 @@ class TestBer:
         assert strip_timestamp(via_env) == strip_timestamp(explicit)
         assert strip_timestamp(via_env) != strip_timestamp(default)
 
+    def test_bad_seed_env_is_ber_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("NOMA_UPLINK_SEED", "abc")
+        assert run_cli(["constellation", "--kind", "qpsk",
+                        "--out", str(tmp_path / "c.csv")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["ber", "--constellation", "qpsk", "--alpha-list", "0.5",
+                     "--snr-grid-db", "4", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--workers", "--min-errors",
+                                      "--max-codewords", "--chunk-size"])
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_count_must_be_positive_int(self, tmp_path, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["ber", "--constellation", "qpsk", "--alpha-list", "0.5",
+                     "--snr-grid-db", "4", flag, value, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+
     def test_unknown_detector_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(["ber", "--constellation", "qpsk", "--detector", "zf",
