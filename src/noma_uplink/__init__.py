@@ -27,6 +27,7 @@ from .channel import (
     sample_channel,
     sample_noise,
     scale_codeword,
+    synthesize,
     transmit,
     validate_alpha,
 )
@@ -39,7 +40,7 @@ from .constellation import (
     enumerate_codewords,
     make_codeword,
 )
-from .detectors import MetricCounter, ml_detect, sic_detect
+from .detectors import detect, ml_detect, sic_detect
 from .montecarlo import (
     BerCurve,
     BerPoint,
@@ -47,7 +48,6 @@ from .montecarlo import (
     crossing_ebn0_db,
     crossing_from_pairs,
     run_ber_point,
-    simulate_trial,
     snr_degradation,
     sweep,
 )

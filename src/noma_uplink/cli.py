@@ -20,6 +20,7 @@ variable ``NOMA_UPLINK_SEED``.
 
 import argparse
 import csv
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -52,11 +53,26 @@ def _fmt_complex(z):
     return f"{z.real:g}{z.imag:+g}j"
 
 
-def _alpha_value(text):
-    try:
-        return validate_alpha(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _arg_type(convert):
+    """argparse type that reports a ValueError of ``convert`` as a usage error."""
+    def parse(text):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return parse
+
+
+_alpha_value = _arg_type(validate_alpha)
+_noise_from_ebn0_db = _arg_type(NoiseModel.from_ebn0_db)
+_noise_from_n0 = _arg_type(NoiseModel.from_n0)
+
+
+def _target_ber(text):
+    ber = float(text)
+    if not 0.0 < ber < 1.0:
+        raise argparse.ArgumentTypeError(f"target BER must lie in (0, 1), got {text}")
+    return ber
 
 
 def _positive_int(text):
@@ -77,7 +93,7 @@ def _parse_grid(text):
             raise argparse.ArgumentTypeError(
                 f"grid must be start:stop:step or a comma list, got {text!r}")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise argparse.ArgumentTypeError(f"bad grid range: {text!r}")
         n = int(round((stop - start) / step)) + 1
         values = [round(start + i * step, 12) for i in range(n)]
@@ -94,6 +110,10 @@ def _parse_grid(text):
 
 def _alpha_grid(text):
     return [_alpha_value(v) for v in _parse_grid(text)]
+
+
+def _ebn0_grid(text):
+    return [_noise_from_ebn0_db(v).ebn0_db for v in _parse_grid(text)]
 
 
 def _write_manifest(fh, subcommand, params, seed=None):
@@ -121,10 +141,7 @@ def _cmd_constellation(args):
 
 
 def _cmd_table1(args):
-    if args.n0 is not None:
-        nm = NoiseModel.from_n0(args.n0)
-    else:
-        nm = NoiseModel.from_ebn0_db(args.snr_db)
+    nm = args.noise
     rows = error_event_pep_table(n0=nm.n0)
     bound_lo, bound_hi = table_abep_bounds(rows)
     params = {"n0": _f17(nm.n0), "snr_db": _f17(nm.ebn0_db),
@@ -284,8 +301,9 @@ def build_parser():
 
     p = sub.add_parser("table1", help="QPSK error-event PEP table with ABEP bound footer")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n0", type=float, help="noise parameter n0")
-    group.add_argument("--snr-db", type=float, help="Eb/N0 in dB (n0 = 10^(-x/10))")
+    group.add_argument("--n0", dest="noise", type=_noise_from_n0, help="noise parameter n0")
+    group.add_argument("--snr-db", dest="noise", type=_noise_from_ebn0_db,
+                       help="Eb/N0 in dB (n0 = 10^(-x/10))")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_table1)
 
@@ -293,7 +311,7 @@ def build_parser():
     p.add_argument("--constellation", choices=["qpsk", "qam16"], required=True)
     p.add_argument("--alpha-grid", type=_alpha_grid, required=True,
                    help="start:stop:step or comma list, within [0.5, 1)")
-    p.add_argument("--snr-grid-db", type=_parse_grid, required=True,
+    p.add_argument("--snr-grid-db", type=_ebn0_grid, required=True,
                    help="start:stop:step or comma list, in dB")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bound)
@@ -303,7 +321,7 @@ def build_parser():
     p.add_argument("--detector", choices=["ml", "sic"], default="ml")
     p.add_argument("--alpha-list", type=_alpha_grid, required=True,
                    help="comma list (or start:stop:step), within [0.5, 1)")
-    p.add_argument("--snr-grid-db", type=_parse_grid, required=True)
+    p.add_argument("--snr-grid-db", type=_ebn0_grid, required=True)
     # a string default goes through ``type``, so a bad NOMA_UPLINK_SEED is a
     # usage error of this subcommand only
     p.add_argument("--seed", type=int,
@@ -318,7 +336,7 @@ def build_parser():
     p = sub.add_parser("degradation", help="SNR degradation vs a reference alpha")
     p.add_argument("--input", required=True, help="CSV produced by the ber subcommand")
     p.add_argument("--reference-alpha", type=_alpha_value, required=True)
-    p.add_argument("--target-ber", type=float, default=1e-3)
+    p.add_argument("--target-ber", type=_target_ber, default=1e-3)
     p.set_defaults(func=_cmd_degradation)
 
     return parser

@@ -9,9 +9,10 @@ the result.
 * Every point owns a Philox stream keyed on (seed, alpha, ebn0_db); trial
   ``t`` always reads doubles ``[16*t, 16*t + 16)`` of that stream, so any
   partition of the trial range sees identical data (see ``rng``).
-* Per-trial draw layout (one double per normal, inverse-CDF transform):
-  2 symbol picks, 8 channel normals (h11, h12, h21, h22; real then imag),
-  4 noise normals (w1 re/im, w2 re/im), 2 padding.
+* Each slice of trials is one batch: ``channel.synthesize`` decodes the
+  per-trial draw layout into sent symbols and received vectors,
+  ``detectors.detect`` decides them, and the errors are read from
+  ``Constellation.hamming``.
 * The stopping rule is evaluated on fixed blocks of 10^4 trials: the point
   stops after the first block at which the cumulative bit-error count
   reaches ``min_bit_errors`` (or when ``max_codewords`` is exhausted).
@@ -30,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NoiseModel, sample_channel, sample_noise, transmit, validate_alpha
-from .constellation import build_constellation, make_codeword
-from .detectors import ml_detect, sic_detect
-from .rng import DRAWS_PER_TRIAL, point_stream_key, trial_stream, normals_from_uniforms
+from .channel import NoiseModel, synthesize, validate_alpha
+from .constellation import build_constellation
+from .detectors import detect
+from .rng import DRAWS_PER_TRIAL, point_stream_key, trial_stream
 
 TRIALS_PER_BLOCK = 10_000
 
@@ -63,6 +64,8 @@ class SimConfig:
         for a in self.alphas:
             validate_alpha(a)
         grid = tuple(self.ebn0_db_grid)
+        for s in grid:
+            NoiseModel.from_ebn0_db(s)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("ebn0_db_grid must be strictly increasing")
         if self.min_bit_errors < 1:
@@ -97,102 +100,12 @@ class BerCurve:
             raise ValueError("BerCurve points must be strictly increasing in ebn0_db")
 
 
-class _Kernel:
-    """Precomputed constants for vectorized detection at one (kind, alpha, n0)."""
-
-    def __init__(self, kind, alpha, n0, detector):
-        c = build_constellation(kind)
-        self.c = c
-        self.M = c.M
-        self.alpha = float(alpha)
-        self.detector = detector
-        self.noise_sigma = math.sqrt(n0)
-        self.points = np.array(c.points)
-        self.s1 = math.sqrt(self.alpha)
-        self.s2 = math.sqrt(1.0 - self.alpha)
-        # candidate transmit vectors, row-major codeword order (user 2 fastest)
-        k = np.arange(c.M * c.M)
-        self.cand_i1 = k // c.M
-        self.cand_i2 = k % c.M
-        self.cand_x1 = self.s1 * self.points[self.cand_i1]
-        self.cand_x2 = self.s2 * self.points[self.cand_i2]
-        self.sym_dist = np.array(c.hamming, dtype=np.int64)
-
-    def run_slice(self, u):
-        """Bit errors in a slice of trials; ``u`` is (n, DRAWS_PER_TRIAL)."""
-        m = self.M
-        i1 = (u[:, 0] * m).astype(np.int64)
-        i2 = (u[:, 1] * m).astype(np.int64)
-        g = normals_from_uniforms(u[:, 2:10]) / math.sqrt(2.0)
-        h11 = g[:, 0] + 1j * g[:, 1]
-        h12 = g[:, 2] + 1j * g[:, 3]
-        h21 = g[:, 4] + 1j * g[:, 5]
-        h22 = g[:, 6] + 1j * g[:, 7]
-        gn = normals_from_uniforms(u[:, 10:14]) * self.noise_sigma
-        x1 = self.s1 * self.points[i1]
-        x2 = self.s2 * self.points[i2]
-        r1 = h11 * x1 + h12 * x2 + (gn[:, 0] + 1j * gn[:, 1])
-        r2 = h21 * x1 + h22 * x2 + (gn[:, 2] + 1j * gn[:, 3])
-
-        if self.detector == "ml":
-            e1 = r1[:, None] - (h11[:, None] * self.cand_x1 + h12[:, None] * self.cand_x2)
-            e2 = r2[:, None] - (h21[:, None] * self.cand_x1 + h22[:, None] * self.cand_x2)
-            metrics = e1.real**2 + e1.imag**2 + e2.real**2 + e2.imag**2
-            k_hat = np.argmin(metrics, axis=1)
-            j1 = self.cand_i1[k_hat]
-            j2 = self.cand_i2[k_hat]
-        else:
-            e1 = r1[:, None] - self.s1 * h11[:, None] * self.points
-            e2 = r2[:, None] - self.s1 * h21[:, None] * self.points
-            j1 = np.argmin(e1.real**2 + e1.imag**2 + e2.real**2 + e2.imag**2, axis=1)
-            y1 = r1 - self.s1 * h11 * self.points[j1]
-            y2 = r2 - self.s1 * h21 * self.points[j1]
-            e1 = y1[:, None] - self.s2 * h12[:, None] * self.points
-            e2 = y2[:, None] - self.s2 * h22[:, None] * self.points
-            j2 = np.argmin(e1.real**2 + e1.imag**2 + e2.real**2 + e2.imag**2, axis=1)
-
-        errs = self.sym_dist[i1, j1] + self.sym_dist[i2, j2]
-        return int(errs.sum())
-
-
-def _block_errors(kernel, key, start, n_trials, chunk_size):
-    """Bit errors over trials [start, start + n_trials), sliced by chunk_size."""
-    total = 0
-    done = 0
-    while done < n_trials:
-        n = min(chunk_size, n_trials - done)
-        gen = trial_stream(key, start + done)
-        u = gen.random((n, DRAWS_PER_TRIAL))
-        total += kernel.run_slice(u)
-        done += n
-    return total
-
-
-def simulate_trial(rng, c, alpha, nm, detector="ml"):
-    """Run one trial scalar-path: draw codeword, channel, noise; detect.
-
-    Consumes exactly DRAWS_PER_TRIAL doubles from ``rng`` in the documented
-    layout, so a stream positioned at trial ``t`` reproduces the vectorized
-    harness trial for trial ``t`` bit-exactly. Returns (sent, detected).
-    """
-    u_sym = rng.random(2)
-    i1 = int(u_sym[0] * c.M)
-    i2 = int(u_sym[1] * c.M)
-    w = make_codeword(c, i1, i2)
-    h = sample_channel(rng)
-    noise = sample_noise(rng, nm)
-    rng.random(DRAWS_PER_TRIAL - 14)  # discard pad draws
-    r = transmit(h, w, alpha, noise)
-    detect = ml_detect if detector == "ml" else sic_detect
-    return w, detect(r, h, alpha, c)
-
-
 def run_ber_point(cfg, alpha, ebn0_db):
     """Estimate the BER at one (alpha, Eb/N0) point under ``cfg``'s policy."""
     alpha = validate_alpha(alpha)
     nm = NoiseModel.from_ebn0_db(ebn0_db)
-    # sampled noise: variance n0 per real component (see channel module docs)
-    kernel = _Kernel(cfg.kind, alpha, nm.n0, cfg.detector)
+    c = build_constellation(cfg.kind)
+    hamming = np.array(c.hamming, dtype=np.int64)
     key = point_stream_key(cfg.seed, alpha, ebn0_db)
 
     sizes = []
@@ -202,8 +115,17 @@ def run_ber_point(cfg, alpha, ebn0_db):
         remaining -= sizes[-1]
 
     def block_job(b):
-        start = b * TRIALS_PER_BLOCK
-        return _block_errors(kernel, key, start, sizes[b], cfg.chunk_size)
+        """Bit errors in block ``b``, drawn and detected ``chunk_size`` trials at a time."""
+        first = b * TRIALS_PER_BLOCK
+        stop = first + sizes[b]
+        total = 0
+        for lo in range(first, stop, cfg.chunk_size):
+            u = trial_stream(key, lo).random((min(cfg.chunk_size, stop - lo), DRAWS_PER_TRIAL))
+            # sampled noise: variance n0 per real component (see channel module docs)
+            i1, i2, h, r = synthesize(u, c, alpha, nm.n0)
+            j1, j2 = detect(cfg.detector, r, h, alpha, c)
+            total += int((hamming[i1, j1] + hamming[i2, j2]).sum())
+        return total
 
     errors = 0
     trials = 0
@@ -230,7 +152,7 @@ def run_ber_point(cfg, alpha, ebn0_db):
                     next_submit += 1
                 b += 1
 
-    bits_per_codeword = 2 * build_constellation(cfg.kind).bits_per_symbol
+    bits_per_codeword = 2 * c.bits_per_symbol
     bits = trials * bits_per_codeword
     ber = errors / bits
     ci = 1.96 * math.sqrt(ber * (1.0 - ber) / bits) if bits else 0.0

@@ -39,6 +39,19 @@ def test_noise_model_snr_mapping():
         NoiseModel.from_n0(0.0)
 
 
+@pytest.mark.parametrize("ebn0_db", [math.nan, math.inf, -math.inf, 5000.0, -5000.0])
+def test_noise_model_rejects_non_finite_ebn0(ebn0_db):
+    # +-5000 dB would give n0 = 0 (underflow) or inf (overflow)
+    with pytest.raises(ValueError):
+        NoiseModel.from_ebn0_db(ebn0_db)
+
+
+@pytest.mark.parametrize("n0", [math.nan, math.inf, -1.0])
+def test_noise_model_rejects_non_finite_n0(n0):
+    with pytest.raises(ValueError):
+        NoiseModel.from_n0(n0)
+
+
 def test_scale_codeword_balanced():
     c = build_constellation("qpsk")
     w = make_codeword(c, 0, 0)  # (1+1j, 1+1j)

@@ -74,6 +74,13 @@ class TestTable1:
                      "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--n0", "nan"), ("--n0", "inf"), ("--n0", "0"),
+                                            ("--snr-db", "nan"), ("--snr-db", "inf")])
+    def test_non_finite_noise_usage_error(self, tmp_path, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["table1", flag, value, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+
 
 class TestBound:
     def test_argmin_summary_qpsk(self, tmp_path, capsys):
@@ -109,6 +116,13 @@ class TestBound:
         with pytest.raises(SystemExit) as exc:
             run_cli(["bound", "--constellation", "qpsk", "--alpha-grid", "0.4,0.5",
                      "--snr-grid-db", "20", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("grid", ["nan", "inf", "20,nan", "0:inf:1", "nan:10:1"])
+    def test_non_finite_snr_grid_rejected(self, tmp_path, grid):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["bound", "--constellation", "qpsk", "--alpha-grid", "0.5",
+                     "--snr-grid-db", grid, "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
 
@@ -171,6 +185,13 @@ class TestBer:
                      "--snr-grid-db", "4", flag, value, "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("grid", ["nan", "inf", "4,nan", "0:inf:1"])
+    def test_non_finite_snr_grid_rejected(self, tmp_path, grid):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["ber", "--constellation", "qpsk", "--alpha-list", "0.5",
+                     "--snr-grid-db", grid, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+
     def test_unknown_detector_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(["ber", "--constellation", "qpsk", "--detector", "zf",
@@ -214,6 +235,15 @@ class TestDegradation:
         assert run_cli(["degradation", "--input", str(path),
                         "--reference-alpha", "0.5"]) == 0
         assert "insufficient range" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("target", ["0", "1", "-0.1", "2", "nan", "inf"])
+    def test_target_ber_outside_unit_interval_usage_error(self, tmp_path, target):
+        path = tmp_path / "ber.csv"
+        self.write_ber_csv(path, {0.5: [(10.0, 1e-2), (20.0, 1e-4)]})
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["degradation", "--input", str(path), "--reference-alpha", "0.5",
+                     "--target-ber", target])
+        assert exc.value.code == 2
 
     def test_missing_reference_is_runtime_error(self, tmp_path, capsys):
         path = tmp_path / "ber.csv"

@@ -9,17 +9,23 @@ from noma_uplink import (
     NoiseModel,
     SimConfig,
     build_constellation,
-    codeword_bit_distance,
     crossing_ebn0_db,
+    detect,
+    make_codeword,
+    ml_detect,
     point_stream_key,
     run_ber_point,
-    simulate_trial,
+    sample_channel,
+    sample_noise,
+    sic_detect,
     snr_degradation,
     sweep,
+    synthesize,
+    transmit,
     trial_stream,
     union_bound_value,
 )
-from noma_uplink.montecarlo import BerCurve, BerPoint, TRIALS_PER_BLOCK, _Kernel
+from noma_uplink.montecarlo import BerCurve, BerPoint, TRIALS_PER_BLOCK
 from noma_uplink.rng import DRAWS_PER_TRIAL
 
 
@@ -42,14 +48,20 @@ class TestConfigValidation:
             SimConfig(ebn0_db_grid=(10.0, 10.0))
         with pytest.raises(ValueError):
             SimConfig(min_bit_errors=0)
+        for field in ("max_codewords", "chunk_size", "workers"):
+            with pytest.raises(ValueError):
+                SimConfig(**{field: 0})
+        with pytest.raises(ValueError):
+            SimConfig(ebn0_db_grid=(10.0, float("nan")))
 
 
 class TestVectorizedMatchesScalarPath:
     @pytest.mark.parametrize("kind", ["qpsk", "qam16"])
     @pytest.mark.parametrize("detector", ["ml", "sic"])
     def test_block_errors_equal_scalar_trials(self, kind, detector):
-        # The vectorized kernel and the scalar channel/detector composition
-        # must produce identical per-trial outcomes from the same stream.
+        # A batch decoded by synthesize and decided by detect must match, trial
+        # for trial, the one-draw composition of sample_channel, sample_noise,
+        # transmit and the single-vector detector on the same stream.
         alpha, ebn0 = 0.85, 6.0
         seed = 98765
         c = build_constellation(kind)
@@ -57,16 +69,24 @@ class TestVectorizedMatchesScalarPath:
         key = point_stream_key(seed, alpha, ebn0)
         n = 64
 
-        kernel = _Kernel(kind, alpha, nm.n0, detector)
         u = trial_stream(key).random((n, DRAWS_PER_TRIAL))
-        vec_errors = kernel.run_slice(u)
+        i1, i2, h, r = synthesize(u, c, alpha, nm.n0)
+        j1, j2 = detect(detector, r, h, alpha, c)
+        scalar_detect = ml_detect if detector == "ml" else sic_detect
 
-        scalar_errors = 0
         for t in range(n):
             rng = trial_stream(key, first_trial=t)
-            sent, detected = simulate_trial(rng, c, alpha, nm, detector)
-            scalar_errors += codeword_bit_distance(c, sent, detected)
-        assert vec_errors == scalar_errors
+            u_sym = rng.random(2)
+            w = make_codeword(c, int(u_sym[0] * c.M), int(u_sym[1] * c.M))
+            h_t = sample_channel(rng)
+            r_t = transmit(h_t, w, alpha, sample_noise(rng, nm))
+            assert (i1[t], i2[t]) == (w.i1, w.i2)
+            assert tuple(hk[t] for hk in h) == (h_t.h11, h_t.h12, h_t.h21, h_t.h22)
+            # numpy and Python round a complex product differently in the last bit
+            assert r[0][t] == pytest.approx(r_t.r1, rel=1e-12)
+            assert r[1][t] == pytest.approx(r_t.r2, rel=1e-12)
+            got = scalar_detect(r_t, h_t, alpha, c)
+            assert (j1[t], j2[t]) == (got.i1, got.i2)
 
 
 class TestDeterminism:
