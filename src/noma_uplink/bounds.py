@@ -67,9 +67,9 @@ class PepTableRow:
 
 def pep_bound(d2, n0):
     """Upper bound on the pairwise error probability at squared distance d2."""
-    if n0 <= 0:
-        raise ValueError(f"n0 must be positive, got {n0}")
-    if d2 < 0:
+    if not 0.0 < n0 < math.inf:
+        raise ValueError(f"n0 must satisfy 0 < n0 < inf, got {n0}")
+    if not d2 >= 0:
         raise ValueError(f"squared distance must be nonnegative, got {d2}")
     return (1.0 / (1.0 + d2 / (4.0 * n0))) ** 2
 
@@ -178,8 +178,8 @@ def union_bound_value(c, alpha, n0):
     rounds it once, the same way.
     """
     alpha = validate_alpha(alpha)
-    if n0 <= 0:
-        raise ValueError(f"n0 must be positive, got {n0}")
+    if not 0.0 < n0 < math.inf:
+        raise ValueError(f"n0 must satisfy 0 < n0 < inf, got {n0}")
     abs_u2, abs_v2, n_bits, scale = _distance_spectrum(c.kind)
     d2 = alpha * abs_u2 + (1.0 - alpha) * abs_v2
     weighted = n_bits * (1.0 / (1.0 + d2 / (4.0 * n0))) ** 2

@@ -19,7 +19,7 @@ calibration under which the simulated error rates line up with the analytic
 table at the same stated Eb/N0.
 
 All sampling consumes uniforms in a fixed order (one uniform per normal
-variate, via the inverse CDF), which is what makes the chunked Monte Carlo
+variate, via the inverse CDF), which is what makes the sliced Monte Carlo
 harness reproducible; see ``rng``. ``synthesize`` turns a batch of trials
 into sent indices, channels and received vectors; the one-draw helpers
 ``sample_channel``, ``sample_noise`` and ``transmit`` share its fading, noise

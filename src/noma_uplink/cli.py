@@ -201,7 +201,6 @@ def _cmd_ber(args):
         seed=args.seed,
         min_bit_errors=args.min_errors,
         max_codewords=args.max_codewords,
-        chunk_size=args.chunk_size,
         workers=args.workers,
     )
     params = {
@@ -250,7 +249,12 @@ def read_ber_csv(path):
     if schema != f"{_SCHEMA_PREFIX}/ber/v1":
         raise ValueError(f"{path}: not a noma-uplink ber CSV (schema={schema!r})")
     reader = csv.DictReader(data_lines)
+    missing = {"alpha", "ebn0_db", "ber", "status"}.difference(reader.fieldnames or ())
+    if missing:
+        raise ValueError(f"{path}: ber CSV lacks column(s) {', '.join(sorted(missing))}")
     for rec in reader:
+        if None in rec.values():
+            raise ValueError(f"{path}: ber CSV has a row with too few fields")
         rows.append({
             "alpha": float(rec["alpha"]),
             "ebn0_db": float(rec["ebn0_db"]),
@@ -328,7 +332,6 @@ def build_parser():
                    default=os.environ.get("NOMA_UPLINK_SEED", DEFAULT_SEED))
     p.add_argument("--min-errors", type=_positive_int, default=200)
     p.add_argument("--max-codewords", type=_positive_int, default=100_000_000)
-    p.add_argument("--chunk-size", type=_positive_int, default=10_000)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ber)

@@ -3,8 +3,7 @@
 Reproducibility contract
 ------------------------
 A BER point is a pure function of (seed, alpha, ebn0_db, kind, detector,
-min_bit_errors, max_codewords): chunk size and worker count never change
-the result.
+min_bit_errors, max_codewords): the worker count never changes the result.
 
 * Every point owns a Philox stream keyed on (seed, alpha, ebn0_db); trial
   ``t`` always reads doubles ``[16*t, 16*t + 16)`` of that stream, so any
@@ -16,18 +15,18 @@ the result.
 * The stopping rule is evaluated on fixed blocks of 10^4 trials: the point
   stops after the first block at which the cumulative bit-error count
   reaches ``min_bit_errors`` (or when ``max_codewords`` is exhausted).
-  Workers may compute blocks speculatively; blocks past the stop index are
-  discarded, so the outcome is partition-independent.
+  Slices of one block run across the pool; nothing past the stop index is
+  computed.
 
-``chunk_size`` only bounds how many trials are vectorized at once (memory
-knob). If ``max_codewords`` runs out with zero errors the point is returned
-with ber = 0 and status ``"upper-bound-only"``: the estimate is only an
-upper bound witness, not a rate.
+If ``max_codewords`` runs out with zero errors the point is returned with
+ber = 0 and status ``"upper-bound-only"``: the estimate is only an upper
+bound witness, not a rate.
 """
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -37,6 +36,8 @@ from .detectors import detect
 from .rng import DRAWS_PER_TRIAL, point_stream_key, trial_stream
 
 TRIALS_PER_BLOCK = 10_000
+# Trials drawn and detected as one batch; a block is split into such slices.
+SLICE = 2_500
 
 DETECTORS = ("ml", "sic")
 KINDS = ("qpsk", "qam16")
@@ -53,7 +54,6 @@ class SimConfig:
     seed: int = DEFAULT_SEED
     min_bit_errors: int = 200
     max_codewords: int = 100_000_000
-    chunk_size: int = 10_000
     workers: int = 1
 
     def __post_init__(self):
@@ -70,8 +70,8 @@ class SimConfig:
             raise ValueError("ebn0_db_grid must be strictly increasing")
         if self.min_bit_errors < 1:
             raise ValueError("min_bit_errors must be at least 1")
-        if self.max_codewords < 1 or self.chunk_size < 1 or self.workers < 1:
-            raise ValueError("max_codewords, chunk_size and workers must be positive")
+        if self.max_codewords < 1 or self.workers < 1:
+            raise ValueError("max_codewords and workers must be positive")
 
 
 @dataclass(frozen=True)
@@ -108,49 +108,22 @@ def run_ber_point(cfg, alpha, ebn0_db):
     hamming = np.array(c.hamming, dtype=np.int64)
     key = point_stream_key(cfg.seed, alpha, ebn0_db)
 
-    sizes = []
-    remaining = cfg.max_codewords
-    while remaining > 0:
-        sizes.append(min(TRIALS_PER_BLOCK, remaining))
-        remaining -= sizes[-1]
-
-    def block_job(b):
-        """Bit errors in block ``b``, drawn and detected ``chunk_size`` trials at a time."""
-        first = b * TRIALS_PER_BLOCK
-        stop = first + sizes[b]
-        total = 0
-        for lo in range(first, stop, cfg.chunk_size):
-            u = trial_stream(key, lo).random((min(cfg.chunk_size, stop - lo), DRAWS_PER_TRIAL))
-            # sampled noise: variance n0 per real component (see channel module docs)
-            i1, i2, h, r = synthesize(u, c, alpha, nm.n0)
-            j1, j2 = detect(cfg.detector, r, h, alpha, c)
-            total += int((hamming[i1, j1] + hamming[i2, j2]).sum())
-        return total
+    def slice_errors(lo, block_stop):
+        """Bit errors in trials ``[lo, min(lo + SLICE, block_stop))``."""
+        u = trial_stream(key, lo).random((min(SLICE, block_stop - lo), DRAWS_PER_TRIAL))
+        # sampled noise: variance n0 per real component (see channel module docs)
+        i1, i2, h, r = synthesize(u, c, alpha, nm.n0)
+        j1, j2 = detect(cfg.detector, r, h, alpha, c)
+        return int((hamming[i1, j1] + hamming[i2, j2]).sum())
 
     errors = 0
     trials = 0
-    if cfg.workers == 1:
-        for b in range(len(sizes)):
-            errors += block_job(b)
-            trials += sizes[b]
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        for first in range(0, cfg.max_codewords, TRIALS_PER_BLOCK):
+            trials = min(first + TRIALS_PER_BLOCK, cfg.max_codewords)
+            errors += sum(pool.map(slice_errors, range(first, trials, SLICE), repeat(trials)))
             if errors >= cfg.min_bit_errors:
                 break
-    else:
-        window = cfg.workers * 2
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = {b: pool.submit(block_job, b) for b in range(min(window, len(sizes)))}
-            next_submit = len(futures)
-            b = 0
-            while b < len(sizes):
-                got = futures.pop(b).result()
-                errors += got
-                trials += sizes[b]
-                if errors >= cfg.min_bit_errors:
-                    break
-                if next_submit < len(sizes):
-                    futures[next_submit] = pool.submit(block_job, next_submit)
-                    next_submit += 1
-                b += 1
 
     bits_per_codeword = 2 * c.bits_per_symbol
     bits = trials * bits_per_codeword

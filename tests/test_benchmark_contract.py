@@ -1,8 +1,10 @@
-"""The functions the benchmark's layer tracer wraps must exist by name.
+"""What the benchmark under ``perfbench/`` uses of the package must exist.
 
 ``perfbench/layertrace.py`` finds each boundary function by name and
 reports a missing one as null metrics instead of failing, so a rename in
-the package would otherwise go unnoticed.
+the package would otherwise go unnoticed. ``perfbench/workloads.py`` passes
+its Monte Carlo workloads to ``SimConfig`` as keyword fields, so removing or
+renaming a field would break the benchmark.
 """
 
 import importlib
@@ -11,17 +13,28 @@ from pathlib import Path
 
 import pytest
 
-_LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+from noma_uplink import SimConfig
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _boundaries():
-    spec = importlib.util.spec_from_file_location("layertrace", _LAYERTRACE)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.BOUNDARIES
+    return module
 
 
-@pytest.mark.parametrize("home,name", [(home, name) for home, name, _ in _boundaries()])
+_WORKLOADS = _load("workloads")
+
+
+@pytest.mark.parametrize("home,name",
+                         [(home, name) for home, name, _ in _load("layertrace").BOUNDARIES])
 def test_traced_boundary_is_public_callable(home, name):
     module = importlib.import_module(f"noma_uplink.{home}")
     assert callable(getattr(module, name, None))
+
+
+@pytest.mark.parametrize("workload", sorted(_WORKLOADS.MONTE_CARLO))
+def test_monte_carlo_workload_is_valid_config(workload):
+    SimConfig(**_WORKLOADS.MONTE_CARLO[workload], seed=_WORKLOADS.PINNED_SEED)

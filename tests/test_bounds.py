@@ -70,6 +70,11 @@ class TestPepBound:
             pep_bound(1.0, -0.1)
         with pytest.raises(ValueError):
             pep_bound(-1.0, 0.1)
+        for n0 in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                pep_bound(1.0, n0)
+        with pytest.raises(ValueError):
+            pep_bound(math.nan, 0.1)
 
     @given(
         d2a=st.floats(0.0, 50.0),
@@ -274,6 +279,9 @@ class TestUnionBound:
             union_bound_value(QPSK, 0.4, 0.01)
         with pytest.raises(ValueError):
             union_bound_value(QPSK, 0.5, 0.0)
+        for n0 in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                union_bound_value(QPSK, 0.5, n0)
 
 
 class TestOptimalAlpha:

@@ -133,8 +133,7 @@ class TestBer:
                 "--seed", "7", "--min-errors", "50", "--max-codewords", "40000"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(args + ["--out", str(a)]) == 0
-        assert run_cli(args + ["--out", str(b), "--workers", "2",
-                               "--chunk-size", "1234"]) == 0
+        assert run_cli(args + ["--out", str(b), "--workers", "2"]) == 0
         assert strip_timestamp(a) == strip_timestamp(b)
         rows = data_rows(a)
         assert len(rows) == 4
@@ -176,8 +175,7 @@ class TestBer:
                      "--snr-grid-db", "4", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flag", ["--workers", "--min-errors",
-                                      "--max-codewords", "--chunk-size"])
+    @pytest.mark.parametrize("flag", ["--workers", "--min-errors", "--max-codewords"])
     @pytest.mark.parametrize("value", ["0", "-3", "two"])
     def test_count_must_be_positive_int(self, tmp_path, flag, value):
         with pytest.raises(SystemExit) as exc:
@@ -257,6 +255,17 @@ class TestDegradation:
         path.write_text("# schema=noma-uplink/bound/v1\nalpha,ebn0_db,abep_bound\n")
         assert run_cli(["degradation", "--input", str(path),
                         "--reference-alpha", "0.5"]) == 3
+
+    @pytest.mark.parametrize("body", [
+        "alpha,ebn0_db,ber\n0.5,10,0.01\n",  # no status column
+        "alpha,ebn0_db,ber,status\n0.5,10,0.01,ok\n0.5,20\n",  # short row
+    ])
+    def test_malformed_ber_csv_is_runtime_error(self, tmp_path, capsys, body):
+        path = tmp_path / "ber.csv"
+        path.write_text("# schema=noma-uplink/ber/v1\n" + body)
+        assert run_cli(["degradation", "--input", str(path),
+                        "--reference-alpha", "0.5"]) == 3
+        assert str(path) in capsys.readouterr().err
 
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert run_cli(["degradation", "--input", str(tmp_path / "nope.csv"),

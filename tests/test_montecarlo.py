@@ -3,8 +3,10 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+from noma_uplink import montecarlo
 from noma_uplink import (
     NoiseModel,
     SimConfig,
@@ -48,7 +50,7 @@ class TestConfigValidation:
             SimConfig(ebn0_db_grid=(10.0, 10.0))
         with pytest.raises(ValueError):
             SimConfig(min_bit_errors=0)
-        for field in ("max_codewords", "chunk_size", "workers"):
+        for field in ("max_codewords", "workers"):
             with pytest.raises(ValueError):
                 SimConfig(**{field: 0})
         with pytest.raises(ValueError):
@@ -96,11 +98,15 @@ class TestDeterminism:
         b = run_ber_point(cfg, 0.9, 8.0)
         assert a == b
 
-    def test_chunk_size_invariance(self):
-        p1 = run_ber_point(small_cfg(chunk_size=1_000), 0.9, 8.0)
-        p2 = run_ber_point(small_cfg(chunk_size=100_000), 0.9, 8.0)
-        p3 = run_ber_point(small_cfg(chunk_size=7_777), 0.9, 8.0)
-        assert p1 == p2 == p3
+    @pytest.mark.parametrize("first", [1, 7777, 12345])
+    def test_trial_stream_offset_reads_same_rows(self, first):
+        # A slice that starts at trial ``first`` sees the rows that a stream
+        # started at trial 0 gives those trials.
+        key = point_stream_key(314159, 0.9, 8.0)
+        n = 300
+        whole = trial_stream(key).random((first + n, DRAWS_PER_TRIAL))
+        part = trial_stream(key, first).random((n, DRAWS_PER_TRIAL))
+        assert np.array_equal(part, whole[first:])
 
     @pytest.mark.parametrize("workers", [2, 8])
     def test_worker_invariance(self, workers):
@@ -126,6 +132,25 @@ class TestDeterminism:
 
 
 class TestStoppingPolicy:
+    def test_no_trial_drawn_past_stop_index(self, monkeypatch):
+        # At 0 dB the first block already holds 200 bit errors, so with two
+        # workers only that block's 10^4 trials may be drawn.
+        drawn = []
+
+        class CountingStream:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def random(self, shape):
+                drawn.append(shape[0])
+                return self.gen.random(shape)
+
+        monkeypatch.setattr(montecarlo, "trial_stream",
+                            lambda key, lo=0: CountingStream(trial_stream(key, lo)))
+        p = run_ber_point(small_cfg(workers=2), 0.5, 0.0)
+        assert p.codewords_used == TRIALS_PER_BLOCK
+        assert sum(drawn) == p.codewords_used
+
     def test_stops_at_block_boundary_after_min_errors(self):
         cfg = small_cfg()
         p = run_ber_point(cfg, 0.9, 8.0)
