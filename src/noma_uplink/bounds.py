@@ -208,13 +208,18 @@ _QPSK_TABLE_DIFFS = (
 )
 
 
-def error_event_pep_table(n0=0.01, alpha_lo=0.5, alpha_hi=0.9):
-    """The 15-row QPSK error-event table: norms and PEP bounds at two alphas.
+# The error-event table's power splits: balanced, and 90% of the power to user 1.
+TABLE_ALPHAS = (0.5, 0.9)
+
+
+def error_event_pep_table(n0=0.01):
+    """The 15-row QPSK error-event table: norms and PEP bounds at ``TABLE_ALPHAS``.
 
     Rows are labeled E1..E15 in the fixed order above, for the transmitted
     codeword (1+1j, 1+1j); by symmetry the QPSK PEP set is the same for
     every transmitted codeword.
     """
+    alpha_lo, alpha_hi = TABLE_ALPHAS
     c = build_constellation("qpsk")
     tx = make_codeword(c, 0, 0)  # (1+1j, 1+1j)
     events = enumerate_error_events(c, tx)
@@ -246,13 +251,7 @@ def table_abep_bounds(rows):
 
 def optimal_alpha(c, n0, grid):
     """Grid argmin of the union bound over alpha; ties go to the smaller alpha."""
-    grid = list(grid)
+    grid = sorted(validate_alpha(a) for a in grid)
     if not grid:
         raise ValueError("alpha grid must not be empty")
-    best_alpha = None
-    best_bound = None
-    for a in sorted(validate_alpha(x) for x in grid):
-        b = union_bound_value(c, a, n0)
-        if best_bound is None or b < best_bound:
-            best_alpha, best_bound = a, b
-    return best_alpha
+    return min(grid, key=lambda a: union_bound_value(c, a, n0))

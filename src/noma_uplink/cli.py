@@ -27,12 +27,14 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .bounds import (
+    TABLE_ALPHAS,
     error_event_pep_table,
     table_abep_bounds,
     union_bound_value,
 )
-from .constellation import build_constellation
+from .constellation import KINDS, build_constellation
 from .channel import NoiseModel, validate_alpha
+from .detectors import DETECTORS
 from .montecarlo import (
     DEFAULT_SEED,
     SimConfig,
@@ -144,22 +146,24 @@ def _cmd_table1(args):
     nm = args.noise
     rows = error_event_pep_table(n0=nm.n0)
     bound_lo, bound_hi = table_abep_bounds(rows)
+    alpha_lo, alpha_hi = TABLE_ALPHAS
+    lo, hi = (f"alpha_{a:g}" for a in TABLE_ALPHAS)
     params = {"n0": _f17(nm.n0), "snr_db": _f17(nm.ebn0_db),
-              "alpha_lo": _f17(0.5), "alpha_hi": _f17(0.9)}
+              "alpha_lo": _f17(alpha_lo), "alpha_hi": _f17(alpha_hi)}
     with open(args.out, "w", newline="") as fh:
         _write_manifest(fh, "table1", params)
         writer = csv.writer(fh)
         writer.writerow(["event", "u", "v", "n_bits",
-                         "d2_alpha_0.5", "d2_alpha_0.9",
-                         "pep_alpha_0.5", "pep_alpha_0.9"])
+                         f"d2_{lo}", f"d2_{hi}", f"pep_{lo}", f"pep_{hi}"])
         for r in rows:
             writer.writerow([r.event_id, _fmt_complex(r.u), _fmt_complex(r.v), r.n_bits,
                              _f17(r.d2_alpha_lo), _f17(r.d2_alpha_hi),
                              _f17(r.pep_alpha_lo), _f17(r.pep_alpha_hi)])
-        writer.writerow(["abep_bound_alpha_0.5", "", "", "", "", "", _f17(bound_lo), ""])
-        writer.writerow(["abep_bound_alpha_0.9", "", "", "", "", "", "", _f17(bound_hi)])
+        writer.writerow([f"abep_bound_{lo}", "", "", "", "", "", _f17(bound_lo), ""])
+        writer.writerow([f"abep_bound_{hi}", "", "", "", "", "", "", _f17(bound_hi)])
     print(f"error-event table at Eb/N0 = {nm.ebn0_db:g} dB -> {args.out}")
-    print(f"weighted ABEP bound: {bound_lo:.3g} (alpha=0.5), {bound_hi:.3g} (alpha=0.9)")
+    print(f"weighted ABEP bound: {bound_lo:.3g} (alpha={alpha_lo:g}),"
+          f" {bound_hi:.3g} (alpha={alpha_hi:g})")
     return 0
 
 
@@ -178,16 +182,14 @@ def _cmd_bound(args):
         writer.writerow(["alpha", "ebn0_db", "abep_bound"])
         for s in args.snr_grid_db:
             n0 = NoiseModel.from_ebn0_db(s).n0
-            best = None
-            for a in args.alpha_grid:
-                b = union_bound_value(c, a, n0)
+            values = [union_bound_value(c, a, n0) for a in args.alpha_grid]
+            for a, b in zip(args.alpha_grid, values):
                 writer.writerow([_f17(a), _f17(s), _f17(b)])
-                if best is None or b < best[1]:
-                    best = (a, b)
-            argmins.append((s, best))
-            fh.write(f"# argmin ebn0_db={_f17(s)} alpha={_f17(best[0])}"
-                     f" abep_bound={_f17(best[1])}\n")
-    for s, (a, b) in argmins:
+            # the optimal_alpha rule: smallest bound, ties to the smaller alpha
+            b, a = min(zip(values, args.alpha_grid))
+            argmins.append((s, a, b))
+            fh.write(f"# argmin ebn0_db={_f17(s)} alpha={_f17(a)} abep_bound={_f17(b)}\n")
+    for s, a, b in argmins:
         print(f"Eb/N0 = {s:g} dB: bound minimized at alpha = {a:g} (ABEP <= {b:.3g})")
     return 0
 
@@ -253,36 +255,37 @@ def read_ber_csv(path):
     if missing:
         raise ValueError(f"{path}: ber CSV lacks column(s) {', '.join(sorted(missing))}")
     for rec in reader:
-        if None in rec.values():
-            raise ValueError(f"{path}: ber CSV has a row with too few fields")
-        rows.append({
-            "alpha": float(rec["alpha"]),
-            "ebn0_db": float(rec["ebn0_db"]),
-            "ber": float(rec["ber"]),
-            "status": rec["status"],
-        })
+        # DictReader gives a short row None values and a long row a None key
+        if None in rec.values() or None in rec:
+            raise ValueError(f"{path}: ber CSV has a row whose length differs from the header")
+        try:
+            rows.append({
+                "alpha": float(rec["alpha"]),
+                "ebn0_db": float(rec["ebn0_db"]),
+                "ber": float(rec["ber"]),
+                "status": rec["status"],
+            })
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return rows
 
 
-def _crossing_from_rows(rows, target_ber):
-    return crossing_from_pairs(((r["ebn0_db"], r["ber"]) for r in rows), target_ber)
-
-
 def _cmd_degradation(args):
-    rows = read_ber_csv(args.input)
-    alphas = sorted({r["alpha"] for r in rows})
-    if args.reference_alpha not in alphas:
+    by_alpha = {}
+    for r in read_ber_csv(args.input):
+        by_alpha.setdefault(r["alpha"], []).append((r["ebn0_db"], r["ber"]))
+    alphas = sorted(by_alpha)
+    if args.reference_alpha not in by_alpha:
         raise ValueError(
             f"reference alpha {args.reference_alpha:g} not present in {args.input} "
             f"(found: {', '.join(f'{a:g}' for a in alphas)})")
-    by_alpha = {a: [r for r in rows if r["alpha"] == a] for a in alphas}
-    ref_cross = _crossing_from_rows(by_alpha[args.reference_alpha], args.target_ber)
+    ref_cross = crossing_from_pairs(by_alpha[args.reference_alpha], args.target_ber)
 
     print(f"SNR degradation at BER = {args.target_ber:g} "
           f"(reference alpha = {args.reference_alpha:g})")
     print(f"{'alpha':>8}  {'ebn0_at_target_db':>18}  {'degradation_db':>15}")
     for a in alphas:
-        cross = _crossing_from_rows(by_alpha[a], args.target_ber)
+        cross = crossing_from_pairs(by_alpha[a], args.target_ber)
         if cross is None or ref_cross is None:
             print(f"{a:>8g}  {'--':>18}  {'insufficient range':>15}")
         else:
@@ -299,7 +302,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constellation", help="dump constellation points as CSV")
-    p.add_argument("--kind", choices=["qpsk", "qam16"], required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_constellation)
 
@@ -312,7 +315,7 @@ def build_parser():
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("bound", help="union-bound ABEP sweep over alpha and Eb/N0")
-    p.add_argument("--constellation", choices=["qpsk", "qam16"], required=True)
+    p.add_argument("--constellation", choices=KINDS, required=True)
     p.add_argument("--alpha-grid", type=_alpha_grid, required=True,
                    help="start:stop:step or comma list, within [0.5, 1)")
     p.add_argument("--snr-grid-db", type=_ebn0_grid, required=True,
@@ -321,8 +324,8 @@ def build_parser():
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("ber", help="Monte Carlo BER sweep")
-    p.add_argument("--constellation", choices=["qpsk", "qam16"], required=True)
-    p.add_argument("--detector", choices=["ml", "sic"], default="ml")
+    p.add_argument("--constellation", choices=KINDS, required=True)
+    p.add_argument("--detector", choices=DETECTORS, default="ml")
     p.add_argument("--alpha-list", type=_alpha_grid, required=True,
                    help="comma list (or start:stop:step), within [0.5, 1)")
     p.add_argument("--snr-grid-db", type=_ebn0_grid, required=True)

@@ -1,28 +1,32 @@
 """Gray-mapped QPSK and 16QAM constellations with bit-level bookkeeping.
 
-Both constellations are normalized so the mean symbol energy equals the
-number of bits per symbol, i.e. the energy per bit is 1 for each user:
+Both are square grids built from one per-axis Gray table, ``_AXES``: per
+kind, a map from axis label to amplitude level, and a scale. A point's
+label is its real-axis label followed by its imaginary-axis label; its
+coordinates are the two levels times the scale:
 
-* QPSK: the four points ``+/-1 +/- 1j`` (mean energy 2), label (b0 b1)
-  mapped to ``(1 - 2*b0) + 1j*(1 - 2*b1)``.
-* 16QAM: the ``{+/-1, +/-3}^2`` grid scaled by ``1/sqrt(2.5)`` (mean energy
-  4), with the per-axis Gray code 00 -> -3, 01 -> -1, 11 -> +1, 10 -> +3
-  applied to (b0 b1 | b2 b3) = (real | imag).
+* QPSK: 0 -> +1, 1 -> -1, scale 1, so label (b0 b1) maps to
+  ``(1 - 2*b0) + 1j*(1 - 2*b1)`` (mean energy 2).
+* 16QAM: 00 -> -3, 01 -> -1, 11 -> +1, 10 -> +3, scale ``1/sqrt(2.5)``,
+  on (b0 b1 | b2 b3) = (real | imag) (mean energy 4).
 
-Points are indexed by their label read as a binary integer, so
-``points[0]`` is the all-zeros label. Symbol identity is always by index,
-never by floating-point comparison of coordinates.
+The mean symbol energy thus equals the number of bits per symbol, i.e. the
+energy per bit is 1 for each user. Points are indexed by their label read
+as a binary integer, so ``points[0]`` is the all-zeros label. Symbol
+identity is always by index, never by floating-point comparison of
+coordinates.
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
-QPSK = "qpsk"
-QAM16 = "qam16"
-
-_GRAY_AXIS_16 = {(0, 0): -3.0, (0, 1): -1.0, (1, 1): 1.0, (1, 0): 3.0}
-_SCALE_16 = 1.0 / math.sqrt(2.5)
+# kind -> (per-axis Gray map: axis label -> amplitude level, scale)
+_AXES = {
+    "qpsk": ({"0": 1.0, "1": -1.0}, 1.0),
+    "qam16": ({"00": -3.0, "01": -1.0, "11": 1.0, "10": 3.0}, 1.0 / math.sqrt(2.5)),
+}
+KINDS = tuple(_AXES)
 
 
 @dataclass(frozen=True)
@@ -60,27 +64,14 @@ class Codeword:
 
 def build_constellation(kind):
     """Build the QPSK or 16QAM constellation described in the module docs."""
-    if kind == QPSK:
-        points = []
-        labels = []
-        for b0 in (0, 1):
-            for b1 in (0, 1):
-                points.append(complex(1 - 2 * b0, 1 - 2 * b1))
-                labels.append(f"{b0}{b1}")
-        return Constellation(QPSK, tuple(points), tuple(labels), 4, 2)
-    if kind == QAM16:
-        points = []
-        labels = []
-        for b0 in (0, 1):
-            for b1 in (0, 1):
-                for b2 in (0, 1):
-                    for b3 in (0, 1):
-                        re = _GRAY_AXIS_16[(b0, b1)] * _SCALE_16
-                        im = _GRAY_AXIS_16[(b2, b3)] * _SCALE_16
-                        points.append(complex(re, im))
-                        labels.append(f"{b0}{b1}{b2}{b3}")
-        return Constellation(QAM16, tuple(points), tuple(labels), 16, 4)
-    raise ValueError(f"unsupported constellation kind: {kind!r} (expected 'qpsk' or 'qam16')")
+    if kind not in _AXES:
+        raise ValueError(f"unsupported constellation kind: {kind!r} (expected one of {KINDS})")
+    levels, scale = _AXES[kind]
+    axis = sorted(levels)
+    labels = tuple(re + im for re in axis for im in axis)
+    points = tuple(complex(levels[re] * scale, levels[im] * scale)
+                   for re in axis for im in axis)
+    return Constellation(kind, points, labels, len(points), 2 * len(axis[0]))
 
 
 def bit_distance(c, a, b):

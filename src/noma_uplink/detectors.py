@@ -19,6 +19,8 @@ import numpy as np
 from .channel import validate_alpha
 from .constellation import make_codeword
 
+DETECTORS = ("ml", "sic")
+
 
 def _metric(e1, e2):
     return e1.real**2 + e1.imag**2 + e2.real**2 + e2.imag**2

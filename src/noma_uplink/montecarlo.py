@@ -31,16 +31,13 @@ from itertools import repeat
 import numpy as np
 
 from .channel import NoiseModel, synthesize, validate_alpha
-from .constellation import build_constellation
-from .detectors import detect
+from .constellation import KINDS, build_constellation
+from .detectors import DETECTORS, detect
 from .rng import DRAWS_PER_TRIAL, point_stream_key, trial_stream
 
 TRIALS_PER_BLOCK = 10_000
 # Trials drawn and detected as one batch; a block is split into such slices.
 SLICE = 2_500
-
-DETECTORS = ("ml", "sic")
-KINDS = ("qpsk", "qam16")
 
 DEFAULT_SEED = 0x6E6F6D61  # "noma"
 

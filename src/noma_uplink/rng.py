@@ -17,6 +17,7 @@ Normal variates are produced by the inverse-CDF transform of uniforms
 
 import struct
 
+import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
@@ -77,4 +78,5 @@ def trial_stream(key, first_trial=0):
 
 def normals_from_uniforms(u):
     """Standard-normal variates from uniforms in [0, 1) via the inverse CDF."""
-    return ndtri(u)
+    # draws are multiples of 2^-53, so this moves only an exact 0.0, where ndtri is -inf
+    return ndtri(np.maximum(u, 2.0**-54))

@@ -4,15 +4,18 @@
 reports a missing one as null metrics instead of failing, so a rename in
 the package would otherwise go unnoticed. ``perfbench/workloads.py`` passes
 its Monte Carlo workloads to ``SimConfig`` as keyword fields, so removing or
-renaming a field would break the benchmark.
+renaming a field would break the benchmark. ``perfbench/child.py`` calls the
+package as ``nu.<name>``, so every such name must stay a package attribute.
 """
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
+import noma_uplink
 from noma_uplink import SimConfig
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -38,3 +41,10 @@ def test_traced_boundary_is_public_callable(home, name):
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS.MONTE_CARLO))
 def test_monte_carlo_workload_is_valid_config(workload):
     SimConfig(**_WORKLOADS.MONTE_CARLO[workload], seed=_WORKLOADS.PINNED_SEED)
+
+
+def test_child_uses_only_package_attributes():
+    used = set(re.findall(r"\bnu\.(\w+)", (_PERFBENCH / "child.py").read_text()))
+    used.discard("__file__")
+    assert used, "child.py no longer calls the package as nu.<name>"
+    assert sorted(n for n in used if not hasattr(noma_uplink, n)) == []

@@ -4,20 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from noma_uplink import (
     NoiseModel,
     build_constellation,
+    detect,
     enumerate_codewords,
     make_codeword,
     sample_channel,
     sample_noise,
     scale_codeword,
+    synthesize,
     transmit,
     validate_alpha,
 )
 from noma_uplink.channel import ChannelMatrix
-from noma_uplink.rng import normals_from_uniforms, trial_stream
+from noma_uplink.detectors import DETECTORS
+from noma_uplink.rng import DRAWS_PER_TRIAL, normals_from_uniforms, trial_stream
 
 
 def gen(seed=1234):
@@ -173,3 +177,24 @@ def test_transmit_linear_in_noise_and_signal():
     r_clean = transmit(h, w, 0.7, (0j, 0j))
     assert r_noisy.r1 - r_clean.r1 == pytest.approx(noise[0], rel=1e-12)
     assert r_noisy.r2 - r_clean.r2 == pytest.approx(noise[1], rel=1e-12)
+
+
+def test_zero_uniform_gives_finite_normal():
+    assert np.isfinite(normals_from_uniforms(np.array([0.0]))).all()
+
+
+def test_positive_uniforms_are_ndtri_bit_for_bit():
+    u = gen().random((1000, 16))
+    assert normals_from_uniforms(u).tobytes() == ndtri(u).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["qpsk", "qam16"])
+@pytest.mark.parametrize("detector", DETECTORS)
+def test_all_zero_draw_is_finite_and_decodable(kind, detector):
+    # Generator.random can return exactly 0.0 (chance 2^-53 per draw).
+    c = build_constellation(kind)
+    u = np.zeros((1, DRAWS_PER_TRIAL))
+    _, _, h, r = synthesize(u, c, 0.7, 0.1)
+    assert all(np.isfinite(z).all() for z in (*h, *r))
+    j1, j2 = detect(detector, r, h, 0.7, c)
+    assert 0 <= j1[0] < c.M and 0 <= j2[0] < c.M

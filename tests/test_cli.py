@@ -1,11 +1,15 @@
 """CLI subcommands: file contracts, replayability, exit codes."""
 
+import argparse
 import csv
 import math
 
 import pytest
 
-from noma_uplink.cli import main, read_ber_csv
+from noma_uplink import NoiseModel, build_constellation, optimal_alpha
+from noma_uplink.cli import build_parser, main, read_ber_csv
+from noma_uplink.constellation import KINDS
+from noma_uplink.detectors import DETECTORS
 
 
 def run_cli(args):
@@ -23,6 +27,22 @@ def data_rows(path):
 
 def strip_timestamp(path):
     return [ln for ln in read_lines(path) if not ln.startswith("# timestamp=")]
+
+
+def test_choices_are_the_library_lists():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    choices = {(cmd, opt): action.choices
+               for cmd, p in subparsers.choices.items()
+               for action in p._actions
+               for opt in action.option_strings
+               if opt in ("--kind", "--constellation", "--detector")}
+    assert choices == {
+        ("constellation", "--kind"): KINDS,
+        ("bound", "--constellation"): KINDS,
+        ("ber", "--constellation"): KINDS,
+        ("ber", "--detector"): DETECTORS,
+    }
 
 
 class TestConstellationDump:
@@ -103,6 +123,16 @@ class TestBound:
         argmin_lines = [ln for ln in read_lines(out) if ln.startswith("# argmin")]
         assert len(argmin_lines) == 2
         assert all("alpha=0.5" in ln for ln in argmin_lines)
+
+    def test_tied_argmin_follows_optimal_alpha(self, tmp_path):
+        # At -300 dB every PEP bound is 1, so both alphas give the bound 8.
+        out = tmp_path / "tie.csv"
+        assert run_cli(["bound", "--constellation", "qpsk", "--alpha-grid", "0.9,0.5",
+                        "--snr-grid-db", "-300", "--out", str(out)]) == 0
+        argmin_lines = [ln for ln in read_lines(out) if ln.startswith("# argmin")]
+        assert argmin_lines == ["# argmin ebn0_db=-300 alpha=0.5 abep_bound=8"]
+        n0 = NoiseModel.from_ebn0_db(-300).n0
+        assert optimal_alpha(build_constellation("qpsk"), n0, [0.9, 0.5]) == 0.5
 
     def test_single_cell_grid(self, tmp_path):
         out = tmp_path / "one.csv"
@@ -259,6 +289,8 @@ class TestDegradation:
     @pytest.mark.parametrize("body", [
         "alpha,ebn0_db,ber\n0.5,10,0.01\n",  # no status column
         "alpha,ebn0_db,ber,status\n0.5,10,0.01,ok\n0.5,20\n",  # short row
+        "alpha,ebn0_db,ber,status\n0.5,10,0.01,ok\n0.5,20,0.001,ok,7\n",  # long row
+        "alpha,ebn0_db,ber,status\n0.5,10,abc,ok\n",  # non-numeric cell
     ])
     def test_malformed_ber_csv_is_runtime_error(self, tmp_path, capsys, body):
         path = tmp_path / "ber.csv"

@@ -1,6 +1,7 @@
 """Constellation construction, energy normalization, and bit bookkeeping."""
 
 import itertools
+import math
 
 import pytest
 
@@ -20,6 +21,29 @@ QPSK_EXPECTED = {
     "10": -1 + 1j,
     "11": -1 - 1j,
 }
+
+# Fixed Gray map for 16QAM: per axis 00 -> -3, 01 -> -1, 11 -> +1, 10 -> +3,
+# real axis from (b0 b1), imaginary axis from (b2 b3), every level scaled by
+# 1/sqrt(2.5). In index order: label i is i written in binary.
+_S16 = 1.0 / math.sqrt(2.5)
+QAM16_EXPECTED = [
+    ("0000", complex(-3.0 * _S16, -3.0 * _S16)),
+    ("0001", complex(-3.0 * _S16, -1.0 * _S16)),
+    ("0010", complex(-3.0 * _S16, 3.0 * _S16)),
+    ("0011", complex(-3.0 * _S16, 1.0 * _S16)),
+    ("0100", complex(-1.0 * _S16, -3.0 * _S16)),
+    ("0101", complex(-1.0 * _S16, -1.0 * _S16)),
+    ("0110", complex(-1.0 * _S16, 3.0 * _S16)),
+    ("0111", complex(-1.0 * _S16, 1.0 * _S16)),
+    ("1000", complex(3.0 * _S16, -3.0 * _S16)),
+    ("1001", complex(3.0 * _S16, -1.0 * _S16)),
+    ("1010", complex(3.0 * _S16, 3.0 * _S16)),
+    ("1011", complex(3.0 * _S16, 1.0 * _S16)),
+    ("1100", complex(1.0 * _S16, -3.0 * _S16)),
+    ("1101", complex(1.0 * _S16, -1.0 * _S16)),
+    ("1110", complex(1.0 * _S16, 3.0 * _S16)),
+    ("1111", complex(1.0 * _S16, 1.0 * _S16)),
+]
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +78,11 @@ def test_mean_symbol_energy_equals_bits(kind, energy):
 def test_qam16_labels_distinct_and_complete(qam16):
     assert len(set(qam16.labels)) == 16
     assert set(qam16.labels) == {format(i, "04b") for i in range(16)}
+
+
+def test_qam16_points_and_labels_exact(qam16):
+    assert qam16.M == 16 and qam16.bits_per_symbol == 4
+    assert list(zip(qam16.labels, qam16.points)) == QAM16_EXPECTED
 
 
 @pytest.mark.parametrize("kind", ["qpsk", "qam16"])
