@@ -20,27 +20,16 @@ from .bounds import (
     table_abep_bounds,
     union_bound_value,
 )
-from .channel import (
-    ChannelMatrix,
-    NoiseModel,
-    ReceivedVector,
-    sample_channel,
-    sample_noise,
-    scale_codeword,
-    synthesize,
-    transmit,
-    validate_alpha,
-)
+from .channel import NoiseModel, synthesize, validate_alpha
 from .constellation import (
     Codeword,
     Constellation,
     bit_distance,
     build_constellation,
-    codeword_bit_distance,
     enumerate_codewords,
     make_codeword,
 )
-from .detectors import detect, ml_detect, sic_detect
+from .detectors import detect
 from .montecarlo import (
     BerCurve,
     BerPoint,

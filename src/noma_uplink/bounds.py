@@ -10,9 +10,16 @@ upper bounded by
 
     pep_bound(d2, n0) = (1 / (1 + d2/(4*n0)))^2
 
-(the exponent 2 is the number of receive antennas). The bit-weighted union
-bound averages ``n_bits * pep`` over every ordered pair of distinct
-codewords and divides by ``M^2 * 2*log2(M)``.
+(the exponent 2 is the number of receive antennas). This is not the
+Chernoff bound for the sampled noise, whose variance is n0 per real
+component (see ``channel``). It is nonetheless a valid upper bound: with
+``gamma = d2/(8*n0)`` and ``mu = sqrt(gamma/(1 + gamma))``, the exact
+two-branch Rayleigh PEP is ``((1 - mu)/2)**2 * (2 + mu)``, which never
+exceeds 3/4 of ``pep_bound`` (the ratio is 1/2 at gamma = 0 and tends to
+3/4 from below as gamma grows).
+
+The bit-weighted union bound averages ``n_bits * pep`` over every ordered
+pair of distinct codewords and divides by ``M^2 * 2*log2(M)``.
 
 That average depends on an event only through ``(|u|^2, |v|^2, n_bits)``,
 so it is evaluated on the constellation's distance spectrum: each distinct

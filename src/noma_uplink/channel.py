@@ -20,10 +20,8 @@ table at the same stated Eb/N0.
 
 All sampling consumes uniforms in a fixed order (one uniform per normal
 variate, via the inverse CDF), which is what makes the sliced Monte Carlo
-harness reproducible; see ``rng``. ``synthesize`` turns a batch of trials
-into sent indices, channels and received vectors; the one-draw helpers
-``sample_channel``, ``sample_noise`` and ``transmit`` share its fading, noise
-and receive steps.
+harness reproducible; see ``rng``. ``synthesize`` is the one signal model:
+it turns a batch of trials into sent indices, channels and received vectors.
 """
 
 import math
@@ -72,51 +70,9 @@ class NoiseModel:
         return cls(-10.0 * math.log10(n0) if n0 > 0 else math.nan, n0)
 
 
-@dataclass(frozen=True)
-class ChannelMatrix:
-    """One realization of the 2x2 uplink channel; h_ij is user j -> antenna i."""
-
-    h11: complex
-    h12: complex
-    h21: complex
-    h22: complex
-
-    def as_array(self):
-        return np.array([[self.h11, self.h12], [self.h21, self.h22]])
-
-
-@dataclass(frozen=True)
-class ReceivedVector:
-    r1: complex
-    r2: complex
-
-
-def scale_codeword(w, alpha):
-    """Transmit vector X = (sqrt(alpha) x1, sqrt(1-alpha) x2)."""
-    alpha = validate_alpha(alpha)
-    return (math.sqrt(alpha) * w.x1, math.sqrt(1.0 - alpha) * w.x2)
-
-
 def _pairs(g):
     """Complex values from (real, imag) pairs along the last axis of ``g``."""
     return tuple(g[..., k] + 1j * g[..., k + 1] for k in range(0, g.shape[-1], 2))
-
-
-def _fading(u):
-    """Channel entries (h11, h12, h21, h22), each CN(0, 1), from 8 uniforms."""
-    return _pairs(normals_from_uniforms(u) / math.sqrt(2.0))
-
-
-def _noise(u, n0):
-    """AWGN (w1, w2) from 4 uniforms; variance n0 per real component."""
-    return _pairs(normals_from_uniforms(u) * math.sqrt(n0))
-
-
-def _receive(h, x1, x2, w):
-    """(r1, r2) = H (x1, x2) + (w1, w2), for scalars and arrays alike."""
-    h11, h12, h21, h22 = h
-    w1, w2 = w
-    return h11 * x1 + h12 * x2 + w1, h21 * x1 + h22 * x2 + w2
 
 
 def synthesize(u, c, alpha, n0):
@@ -133,30 +89,9 @@ def synthesize(u, c, alpha, n0):
     points = np.array(c.points)
     i1 = (u[:, 0] * c.M).astype(np.int64)
     i2 = (u[:, 1] * c.M).astype(np.int64)
-    h = _fading(u[:, 2:10])
+    h = _pairs(normals_from_uniforms(u[:, 2:10]) / math.sqrt(2.0))
     x1 = math.sqrt(alpha) * points[i1]
     x2 = math.sqrt(1.0 - alpha) * points[i2]
-    return i1, i2, h, _receive(h, x1, x2, _noise(u[:, 10:14], n0))
-
-
-def sample_channel(rng):
-    """Draw one channel matrix: four i.i.d. CN(0, 1) entries.
-
-    Consumes exactly 8 uniforms, in the order h11, h12, h21, h22
-    (real then imaginary part of each).
-    """
-    return ChannelMatrix(*(complex(z) for z in _fading(rng.random(8))))
-
-
-def sample_noise(rng, nm):
-    """Draw the AWGN pair (w1, w2); variance n0 per real component.
-
-    Consumes exactly 4 uniforms (w1 real, w1 imag, w2 real, w2 imag).
-    """
-    return tuple(complex(z) for z in _noise(rng.random(4), nm.n0))
-
-
-def transmit(h, w, alpha, noise):
-    """Received vector for codeword ``w`` over channel ``h`` with given noise."""
-    x1, x2 = scale_codeword(w, alpha)
-    return ReceivedVector(*_receive((h.h11, h.h12, h.h21, h.h22), x1, x2, noise))
+    w1, w2 = _pairs(normals_from_uniforms(u[:, 10:14]) * math.sqrt(n0))
+    h11, h12, h21, h22 = h
+    return i1, i2, h, (h11 * x1 + h12 * x2 + w1, h21 * x1 + h22 * x2 + w2)

@@ -107,6 +107,8 @@ def _parse_grid(text):
             raise argparse.ArgumentTypeError(f"bad grid value in {text!r}")
     if not values:
         raise argparse.ArgumentTypeError(f"empty grid: {text!r}")
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"repeated grid value in {text!r}")
     return values
 
 
@@ -115,7 +117,10 @@ def _alpha_grid(text):
 
 
 def _ebn0_grid(text):
-    return [_noise_from_ebn0_db(v).ebn0_db for v in _parse_grid(text)]
+    values = [_noise_from_ebn0_db(v).ebn0_db for v in _parse_grid(text)]
+    if values != sorted(values):
+        raise argparse.ArgumentTypeError(f"Eb/N0 grid must be strictly increasing, got {text!r}")
+    return values
 
 
 def _write_manifest(fh, subcommand, params, seed=None):

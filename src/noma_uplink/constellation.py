@@ -81,20 +81,6 @@ def bit_distance(c, a, b):
     return c.hamming[a][b]
 
 
-def _check_member(c, w):
-    if not (0 <= w.i1 < c.M and 0 <= w.i2 < c.M):
-        raise ValueError("codeword indices out of range for this constellation")
-    if c.points[w.i1] != w.x1 or c.points[w.i2] != w.x2:
-        raise ValueError("codeword symbols do not belong to this constellation")
-
-
-def codeword_bit_distance(c, w, w_hat):
-    """Total bits in error between two codewords of constellation ``c``."""
-    _check_member(c, w)
-    _check_member(c, w_hat)
-    return bit_distance(c, w.i1, w_hat.i1) + bit_distance(c, w.i2, w_hat.i2)
-
-
 def make_codeword(c, i1, i2):
     """Codeword for symbol indices (i1, i2) of constellation ``c``."""
     return Codeword(i1, i2, c.points[i1], c.points[i2], c.labels[i1] + c.labels[i2])

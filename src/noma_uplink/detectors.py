@@ -3,8 +3,7 @@ successive-interference-cancellation baseline.
 
 ``detect`` is the one implementation of both: it decides a whole batch of
 received vectors at once, and the Monte Carlo harness calls it on every
-slice of trials. ``ml_detect`` and ``sic_detect`` decide a single received
-vector by calling ``detect`` on a batch of one.
+slice of trials.
 
 Both detectors assume the channel matrix is known exactly and return hard
 decisions (no soft outputs). Ties are broken toward the lowest codeword
@@ -17,7 +16,6 @@ import math
 import numpy as np
 
 from .channel import validate_alpha
-from .constellation import make_codeword
 
 DETECTORS = ("ml", "sic")
 
@@ -61,21 +59,3 @@ def detect(detector, r, h, alpha, c):
                                y2[:, None] - s2 * h22[:, None] * points), axis=1)
         return j1, j2
     raise ValueError(f"unknown detector {detector!r}")
-
-
-def _detect_one(detector, r, h, alpha, c):
-    j1, j2 = detect(detector,
-                    np.array([[r.r1], [r.r2]], dtype=complex),
-                    np.array([[h.h11], [h.h12], [h.h21], [h.h22]], dtype=complex),
-                    alpha, c)
-    return make_codeword(c, int(j1[0]), int(j2[0]))
-
-
-def ml_detect(r, h, alpha, c):
-    """Maximum-likelihood codeword for one received vector (see ``detect``)."""
-    return _detect_one("ml", r, h, alpha, c)
-
-
-def sic_detect(r, h, alpha, c):
-    """SIC codeword for one received vector, user 1 first (see ``detect``)."""
-    return _detect_one("sic", r, h, alpha, c)

@@ -19,28 +19,27 @@ from noma_uplink import (
     NoiseModel,
     SimConfig,
     build_constellation,
+    detect,
     enumerate_codewords,
     event_norm,
-    make_codeword,
-    ml_detect,
     pairwise_sum_excess,
     pep_bound,
     point_stream_key,
     run_ber_point,
-    sample_channel,
-    sample_noise,
-    scale_codeword,
     snr_degradation,
     sweep,
-    transmit,
+    synthesize,
     trial_stream,
     union_bound_value,
 )
 from noma_uplink.cli import main as cli_main
-from noma_uplink.rng import normals_from_uniforms
+from noma_uplink.rng import DRAWS_PER_TRIAL, normals_from_uniforms
 
 ACCEPTANCE_SEED = 20260811
 WORKERS = 2
+# detect takes one alpha per call; the random-instance criteria (6d, 6e)
+# split their instances evenly over these.
+DETECT_ALPHAS = (0.5, 0.6, 0.75, 0.9, 0.99)
 
 # -- Published reference values ----------------------------------------------
 # The 15-row QPSK error-event PEP table at SNR 20 dB (1/N0 = 100), printed
@@ -255,34 +254,30 @@ def test_criterion_6c_pep_bound_monotonicity():
 
 def test_criterion_6d_ml_equals_exhaustive_oracle():
     c = build_constellation("qpsk")
-    rng = trial_stream(ACCEPTANCE_SEED + 3)
-    nm = NoiseModel.from_ebn0_db(5.0)
-    for _ in range(1000):
-        h = sample_channel(rng)
-        w = make_codeword(c, int(rng.random() * 4), int(rng.random() * 4))
-        alpha = 0.5 + 0.49 * rng.random()
-        r = transmit(h, w, alpha, sample_noise(rng, nm))
-        got = ml_detect(r, h, alpha, c)
-        # independent oracle: sort all (metric, index) pairs
-        H = h.as_array()
-        scored = sorted(
-            (float(np.sum(np.abs(np.array([r.r1, r.r2])
-                                 - H @ np.array(scale_codeword(cand, alpha))) ** 2)), k)
-            for k, cand in enumerate(enumerate_codewords(c)))
-        assert got.i1 * 4 + got.i2 == scored[0][1]
+    u = trial_stream(ACCEPTANCE_SEED + 3).random((1000, DRAWS_PER_TRIAL))
+    n0 = NoiseModel.from_ebn0_db(5.0).n0
+    for k, alpha in enumerate(DETECT_ALPHAS):
+        _, _, h, r = synthesize(u[k::len(DETECT_ALPHAS)], c, alpha, n0)
+        j1, j2 = detect("ml", r, h, alpha, c)
+        # independent oracle: sort all (metric, index) pairs of each trial
+        H = np.stack(h, axis=-1).reshape(-1, 2, 2)
+        X = np.array([[math.sqrt(alpha) * w.x1 for w in enumerate_codewords(c)],
+                      [math.sqrt(1.0 - alpha) * w.x2 for w in enumerate_codewords(c)]])
+        metrics = np.sum(np.abs(np.stack(r, axis=-1)[:, :, None] - H @ X) ** 2, axis=1)
+        oracle = [sorted(zip(row.tolist(), range(row.size)))[0][1] for row in metrics]
+        assert (j1 * 4 + j2).tolist() == oracle
     report("6d (ML argmin equals sorting oracle)", True, "1000 random instances")
 
 
 def test_criterion_6e_noiseless_detection_exact():
     for kind in ("qpsk", "qam16"):
         c = build_constellation(kind)
-        rng = trial_stream(ACCEPTANCE_SEED + 4)
-        for _ in range(100):
-            h = sample_channel(rng)
-            w = make_codeword(c, int(rng.random() * c.M), int(rng.random() * c.M))
-            alpha = 0.5 + 0.49 * rng.random()
-            got = ml_detect(transmit(h, w, alpha, (0j, 0j)), h, alpha, c)
-            assert (got.i1, got.i2) == (w.i1, w.i2)
+        u = trial_stream(ACCEPTANCE_SEED + 4).random((100, DRAWS_PER_TRIAL))
+        u[:, 10:14] = 0.5  # exact zero noise
+        for k, alpha in enumerate(DETECT_ALPHAS):
+            i1, i2, h, r = synthesize(u[k::len(DETECT_ALPHAS)], c, alpha, 1.0)
+            j1, j2 = detect("ml", r, h, alpha, c)
+            assert np.array_equal(j1, i1) and np.array_equal(j2, i2)
     report("6e (noiseless ML detection exact)", True,
            "100 random channels per constellation")
 
@@ -324,16 +319,17 @@ def test_criterion_6h_ber_ordering_in_alpha():
 def test_criterion_7_channel_statistics():
     # 10^6 channel draws via the documented stream layout; thresholds are
     # 3 sigma of each estimator under the nominal CN(0,1) i.i.d. model.
+    # synthesize decodes the channel columns u[:, 2:10]; the other columns
+    # are 0.5 (zero noise) and do not touch the channel.
     n = 1_000_000
     rng = trial_stream(point_stream_key(ACCEPTANCE_SEED, 0.5, 0.0))
-    u = rng.random((n, 8))
-    g = normals_from_uniforms(u) / math.sqrt(2.0)
-    entries = g[:, 0::2] + 1j * g[:, 1::2]
+    u = np.full((n, DRAWS_PER_TRIAL), 0.5)
+    u[:, 2:10] = rng.random((n, 8))
+    entries = np.stack(synthesize(u, build_constellation("qpsk"), 0.5, 1.0)[2], axis=-1)
 
     rng2 = trial_stream(point_stream_key(ACCEPTANCE_SEED, 0.5, 0.0))
-    for row in range(8):
-        h = sample_channel(rng2)
-        assert (h.h11, h.h12, h.h21, h.h22) == tuple(entries[row])
+    g = normals_from_uniforms(rng2.random((8, 8))) / math.sqrt(2.0)
+    assert np.array_equal(entries[:8], g[:, 0::2] + 1j * g[:, 1::2])
 
     sigma_mean = math.sqrt(0.5 / n)      # per real component of a mean
     sigma_var = math.sqrt(1.0 / n)       # var(|h|^2) = 1 for CN(0,1)

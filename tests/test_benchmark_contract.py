@@ -6,8 +6,11 @@ the package would otherwise go unnoticed. ``perfbench/workloads.py`` passes
 its Monte Carlo workloads to ``SimConfig`` as keyword fields, so removing or
 renaming a field would break the benchmark. ``perfbench/child.py`` calls the
 package as ``nu.<name>``, so every such name must stay a package attribute.
+No test runs the scripts under ``demos/``, so the names they import from the
+package are checked here too.
 """
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -19,6 +22,7 @@ import noma_uplink
 from noma_uplink import SimConfig
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def _load(name):
@@ -48,3 +52,13 @@ def test_child_uses_only_package_attributes():
     used.discard("__file__")
     assert used, "child.py no longer calls the package as nu.<name>"
     assert sorted(n for n in used if not hasattr(noma_uplink, n)) == []
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in _DEMOS.glob("*.py")))
+def test_demo_imports_are_package_attributes(demo):
+    tree = ast.parse((_DEMOS / demo).read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "noma_uplink"
+             for alias in node.names]
+    assert names, f"{demo} no longer imports from noma_uplink"
+    assert sorted(n for n in names if not hasattr(noma_uplink, n)) == []

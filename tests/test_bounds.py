@@ -76,6 +76,22 @@ class TestPepBound:
         with pytest.raises(ValueError):
             pep_bound(math.nan, 0.1)
 
+    def test_exact_rayleigh_pep_within_three_quarters(self):
+        # The sampled noise has variance n0 per real component, so pep_bound
+        # is not its Chernoff bound. It bounds the exact two-branch Rayleigh
+        # PEP ((1 - mu)/2)^2 (2 + mu), mu = sqrt(gamma/(1 + gamma)),
+        # gamma = d2/(8 n0), because that PEP never exceeds 3/4 of it.
+        # 1 - mu is written as 1/((1 + gamma)(1 + mu)): the plain difference
+        # cancels at large gamma and overshoots 3/4 by about 1.5e-8.
+        n0 = 0.01
+        gamma = np.logspace(-8, 8, 200_001)
+        mu = np.sqrt(gamma / (1.0 + gamma))
+        exact = (1.0 / ((1.0 + gamma) * (1.0 + mu)) / 2.0) ** 2 * (2.0 + mu)
+        bound = np.array([pep_bound(d2, n0) for d2 in (8.0 * n0 * gamma).tolist()])
+        ratio = exact / bound
+        assert (exact <= 0.75 * bound).all(), ratio.max()
+        assert ratio.max() > 0.7499  # the 3/4 is approached, so it is the tight constant
+
     @given(
         d2a=st.floats(0.0, 50.0),
         d2b=st.floats(0.0, 50.0),

@@ -1,4 +1,10 @@
-"""Channel model: power split, fading statistics, noise, composition."""
+"""Channel model: power split, fading statistics, noise, composition.
+
+Every case runs through ``synthesize`` on explicit rows of the per-trial draw
+layout: symbol picks ``u[:, 0:2]``, channel ``u[:, 2:10]``, noise
+``u[:, 10:14]``. A uniform of 0.5 gives an exact 0.0 normal, so a channel or
+noise column set to 0.5 is an exact zero.
+"""
 
 import math
 
@@ -10,22 +16,45 @@ from noma_uplink import (
     NoiseModel,
     build_constellation,
     detect,
-    enumerate_codewords,
-    make_codeword,
-    sample_channel,
-    sample_noise,
-    scale_codeword,
     synthesize,
-    transmit,
     validate_alpha,
 )
-from noma_uplink.channel import ChannelMatrix
 from noma_uplink.detectors import DETECTORS
 from noma_uplink.rng import DRAWS_PER_TRIAL, normals_from_uniforms, trial_stream
+
+# Channel uniforms of a diagonal channel: h11 = h22 = ndtri(0.9)/sqrt(2) > 0,
+# real, and h12 = h21 = 0, so r_i = h_ii * (scaled symbol of user i).
+DIAGONAL = (0.9, 0.5, 0.5, 0.5, 0.5, 0.5, 0.9, 0.5)
 
 
 def gen(seed=1234):
     return trial_stream(seed)
+
+
+def codeword_rows(c, channel=0.5, noise=0.5):
+    """One draw row per codeword, in enumeration order (user 2 fastest).
+
+    The symbol picks select the codeword; the channel and noise columns are
+    set to the given uniforms.
+    """
+    i1, i2 = np.divmod(np.arange(c.M * c.M), c.M)
+    u = np.full((c.M * c.M, DRAWS_PER_TRIAL), 0.5)
+    u[:, 0] = (i1 + 0.5) / c.M
+    u[:, 1] = (i2 + 0.5) / c.M
+    u[:, 2:10] = channel
+    u[:, 10:14] = noise
+    return u
+
+
+def transmitted(c, alpha):
+    """Scaled symbols (x1, x2) of every codeword, read off a noiseless diagonal channel."""
+    _, _, h, (r1, r2) = synthesize(codeword_rows(c, DIAGONAL), c, alpha, 1.0)
+    return r1 / h[0], r2 / h[3]
+
+
+def pairs(g):
+    """Complex values from the (real, imag) column pairs of ``g``."""
+    return g[:, 0::2] + 1j * g[:, 1::2]
 
 
 def test_alpha_validation():
@@ -58,8 +87,7 @@ def test_noise_model_rejects_non_finite_n0(n0):
 
 def test_scale_codeword_balanced():
     c = build_constellation("qpsk")
-    w = make_codeword(c, 0, 0)  # (1+1j, 1+1j)
-    x1, x2 = scale_codeword(w, 0.5)
+    x1, x2 = (x[0] for x in transmitted(c, 0.5))  # codeword 0 = (1+1j, 1+1j)
     assert x1 == pytest.approx(math.sqrt(0.5) * (1 + 1j))
     assert x2 == pytest.approx(math.sqrt(0.5) * (1 + 1j))
     assert abs(x1) ** 2 + abs(x2) ** 2 == pytest.approx(2.0)
@@ -69,114 +97,108 @@ def test_scale_codeword_balanced():
 @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99])
 def test_mean_transmit_energy_independent_of_alpha(kind, expected, alpha):
     # Exhaustive average over all codewords: total transmit power is fixed.
-    c = build_constellation(kind)
-    cws = enumerate_codewords(c)
-    total = 0.0
-    for w in cws:
-        x1, x2 = scale_codeword(w, alpha)
-        total += abs(x1) ** 2 + abs(x2) ** 2
-    assert total / len(cws) == pytest.approx(expected, rel=1e-12)
+    x1, x2 = transmitted(build_constellation(kind), alpha)
+    assert np.mean(np.abs(x1) ** 2 + np.abs(x2) ** 2) == pytest.approx(expected, rel=1e-12)
 
 
 def test_scaled_difference_norm_table_value():
     # alpha = 0.9, difference (2, 0): ||X - X_hat||^2 = 4 alpha = 3.6.
     c = build_constellation("qpsk")
     i = {p: k for k, p in enumerate(c.points)}
-    w = make_codeword(c, i[1 + 1j], i[1 + 1j])
-    w_hat = make_codeword(c, i[-1 + 1j], i[1 + 1j])
-    x = scale_codeword(w, 0.9)
-    x_hat = scale_codeword(w_hat, 0.9)
-    d2 = abs(x[0] - x_hat[0]) ** 2 + abs(x[1] - x_hat[1]) ** 2
+    w = i[1 + 1j] * c.M + i[1 + 1j]
+    w_hat = i[-1 + 1j] * c.M + i[1 + 1j]
+    x1, x2 = transmitted(c, 0.9)
+    d2 = abs(x1[w] - x1[w_hat]) ** 2 + abs(x2[w] - x2[w_hat]) ** 2
     assert d2 == pytest.approx(3.6, rel=1e-12)
 
 
 def test_sample_channel_is_deterministic_per_stream():
-    h1 = [sample_channel(gen(42)) for _ in range(1)][0]
-    h2 = sample_channel(gen(42))
-    assert h1 == h2
-    assert sample_channel(gen(43)) != h1
+    c = build_constellation("qpsk")
+
+    def h(seed):
+        return synthesize(gen(seed).random((1, DRAWS_PER_TRIAL)), c, 0.5, 1.0)[2]
+
+    h1 = h(42)
+    assert np.array_equal(h1, h(42))
+    assert not np.array_equal(h(43), h1)
 
 
 def test_sample_channel_moments_match_spec_bounds():
-    # 10^6 draws through the documented 8-uniform layout; scalar calls are
-    # verified against the batch on a prefix, then moments are checked on
-    # the batch. Thresholds: |mean| < 0.005, variance within 1% of 1,
+    # 10^6 draws of the 8 channel uniforms; synthesize is checked against
+    # the documented decoding on a prefix, then moments are checked on its
+    # output. Thresholds: |mean| < 0.005, variance within 1% of 1,
     # |cross-correlation| < 0.01.
     n = 1_000_000
-    rng = gen(2024)
-    u = rng.random((n, 8))
-    g = normals_from_uniforms(u) / math.sqrt(2.0)
-    entries = g[:, 0::2] + 1j * g[:, 1::2]  # columns: h11, h12, h21, h22
+    u = np.full((n, DRAWS_PER_TRIAL), 0.5)
+    u[:, 2:10] = gen(2024).random((n, 8))
+    h = synthesize(u, build_constellation("qpsk"), 0.5, 1.0)[2]
+    expected = pairs(normals_from_uniforms(u[:100, 2:10]) / math.sqrt(2.0))
+    assert np.array_equal(np.stack(h, axis=-1)[:100], expected)
 
-    rng2 = gen(2024)
-    for row in range(100):
-        h = sample_channel(rng2)
-        assert (h.h11, h.h12, h.h21, h.h22) == tuple(entries[row])
-
-    for k in range(4):
-        col = entries[:, k]
+    for col in h:
         assert abs(col.mean()) < 0.005
         assert abs((np.abs(col) ** 2).mean() - 1.0) < 0.01
     for a in range(4):
         for b in range(a + 1, 4):
-            assert abs(np.mean(entries[:, a] * np.conj(entries[:, b]))) < 0.01
+            assert abs(np.mean(h[a] * np.conj(h[b]))) < 0.01
 
 
 def test_sample_noise_variance_per_component():
     # Sampled noise has variance n0 per real component (2 n0 per complex
     # sample); this is the simulator's SNR calibration, see channel docs.
+    # With a zero channel the received vector is the noise alone.
     nm = NoiseModel.from_ebn0_db(20.0)
-    rng = gen(7)
-    w = np.array([sample_noise(rng, nm) for _ in range(200_000)])
-    for col in (w[:, 0], w[:, 1]):
+    u = np.full((200_000, DRAWS_PER_TRIAL), 0.5)
+    u[:, 10:14] = gen(7).random((200_000, 4))
+    _, _, _, r = synthesize(u, build_constellation("qpsk"), 0.7, nm.n0)
+    for col in r:
         assert np.var(col.real) == pytest.approx(nm.n0, rel=0.02)
         assert np.var(col.imag) == pytest.approx(nm.n0, rel=0.02)
         assert np.var(col) == pytest.approx(2 * nm.n0, rel=0.02)
 
 
 def test_transmit_identity_channel_no_noise():
+    # Diagonal channel, no noise: each antenna sees only its own user.
     c = build_constellation("qpsk")
-    w = make_codeword(c, 2, 1)
-    h = ChannelMatrix(1, 0, 0, 1)
-    r = transmit(h, w, 0.5, (0j, 0j))
-    x1, x2 = scale_codeword(w, 0.5)
-    assert (r.r1, r.r2) == (x1, x2)
+    i1, i2, h, (r1, r2) = synthesize(codeword_rows(c, DIAGONAL), c, 0.5, 1.0)
+    points = np.array(c.points)
+    assert np.array_equal(r1, h[0] * (math.sqrt(0.5) * points[i1]))
+    assert np.array_equal(r2, h[3] * (math.sqrt(0.5) * points[i2]))
 
 
 def test_transmit_matches_matrix_vector_oracle():
-    # Independent oracle: numpy matrix-vector product of H with X.
+    # Independent oracle: numpy matrix-vector product of H with X, no noise.
     c = build_constellation("qam16")
-    rng = gen(99)
-    for _ in range(50):
-        h = sample_channel(rng)
-        w = make_codeword(c, int(rng.random() * 16), int(rng.random() * 16))
-        alpha = 0.5 + 0.49 * rng.random()
-        r = transmit(h, w, alpha, (0j, 0j))
-        expected = h.as_array() @ np.array(scale_codeword(w, alpha))
-        assert r.r1 == pytest.approx(expected[0], rel=1e-12)
-        assert r.r2 == pytest.approx(expected[1], rel=1e-12)
+    points = np.array(c.points)
+    u = gen(99).random((50, DRAWS_PER_TRIAL))
+    u[:, 10:14] = 0.5
+    for k, alpha in enumerate((0.5, 0.6, 0.75, 0.9, 0.99)):
+        i1, i2, h, r = synthesize(u[k::5], c, alpha, 1.0)
+        H = np.stack(h, axis=-1).reshape(-1, 2, 2)
+        X = np.stack([math.sqrt(alpha) * points[i1], math.sqrt(1 - alpha) * points[i2]], axis=-1)
+        expected = (H @ X[:, :, None])[:, :, 0]
+        np.testing.assert_allclose(np.stack(r, axis=-1), expected, rtol=1e-12)
 
 
 def test_transmit_zero_channel_returns_noise():
     c = build_constellation("qpsk")
-    w = make_codeword(c, 0, 0)
-    h = ChannelMatrix(0, 0, 0, 0)
-    noise = (0.3 - 0.1j, -0.2 + 0.7j)
-    r = transmit(h, w, 0.9, noise)
-    assert (r.r1, r.r2) == noise
+    n0 = NoiseModel.from_ebn0_db(10.0).n0
+    u = codeword_rows(c, noise=gen(3).random((c.M * c.M, 4)))
+    _, _, _, r = synthesize(u, c, 0.9, n0)
+    noise = pairs(normals_from_uniforms(u[:, 10:14]) * math.sqrt(n0))
+    assert np.array_equal(np.stack(r, axis=-1), noise)
 
 
 def test_transmit_linear_in_noise_and_signal():
     c = build_constellation("qpsk")
-    w = make_codeword(c, 1, 2)
-    rng = gen(5)
-    h = sample_channel(rng)
-    nm = NoiseModel.from_ebn0_db(10.0)
-    noise = sample_noise(rng, nm)
-    r_noisy = transmit(h, w, 0.7, noise)
-    r_clean = transmit(h, w, 0.7, (0j, 0j))
-    assert r_noisy.r1 - r_clean.r1 == pytest.approx(noise[0], rel=1e-12)
-    assert r_noisy.r2 - r_clean.r2 == pytest.approx(noise[1], rel=1e-12)
+    n0 = NoiseModel.from_ebn0_db(10.0).n0
+    u = gen(5).random((50, DRAWS_PER_TRIAL))
+    clean = u.copy()
+    clean[:, 10:14] = 0.5
+    r_noisy = np.stack(synthesize(u, c, 0.7, n0)[3], axis=-1)
+    r_clean = np.stack(synthesize(clean, c, 0.7, n0)[3], axis=-1)
+    noise = pairs(normals_from_uniforms(u[:, 10:14]) * math.sqrt(n0))
+    np.testing.assert_allclose(r_noisy - r_clean, noise, rtol=1e-12)
 
 
 def test_zero_uniform_gives_finite_normal():

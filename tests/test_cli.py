@@ -155,6 +155,15 @@ class TestBound:
                      "--snr-grid-db", grid, "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("alphas,grid", [("0.5,0.5", "10"), ("0.9,0.5,0.9", "10"),
+                                             ("0.5", "10,10"), ("0.5", "20,10")])
+    def test_repeated_or_unsorted_grid_rejected(self, tmp_path, alphas, grid):
+        # each repeat would be evaluated again; a grid out of order is a usage error
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["bound", "--constellation", "qpsk", "--alpha-grid", alphas,
+                     "--snr-grid-db", grid, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+
 
 class TestBer:
     def test_small_run_schema_and_determinism(self, tmp_path):
@@ -218,6 +227,16 @@ class TestBer:
         with pytest.raises(SystemExit) as exc:
             run_cli(["ber", "--constellation", "qpsk", "--alpha-list", "0.5",
                      "--snr-grid-db", grid, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("alphas,grid", [("0.5,0.5", "60"), ("0.5", "8,4"),
+                                             ("0.5", "4,4")])
+    def test_repeated_or_unsorted_grid_rejected(self, tmp_path, alphas, grid):
+        # each repeat would be simulated again; a grid out of order is a usage error
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["ber", "--constellation", "qpsk", "--alpha-list", alphas,
+                     "--snr-grid-db", grid, "--max-codewords", "100",
+                     "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
     def test_unknown_detector_rejected(self, tmp_path):

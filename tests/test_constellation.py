@@ -8,7 +8,6 @@ import pytest
 from noma_uplink import (
     bit_distance,
     build_constellation,
-    codeword_bit_distance,
     enumerate_codewords,
     make_codeword,
 )
@@ -143,7 +142,7 @@ def test_qpsk_difference_bit_contributions_exhaustive(qpsk):
 
 def test_codeword_bit_distance_identity(qpsk):
     w = make_codeword(qpsk, 1, 3)
-    assert codeword_bit_distance(qpsk, w, w) == 0
+    assert bit_distance(qpsk, w.i1, w.i1) + bit_distance(qpsk, w.i2, w.i2) == 0
 
 
 def test_codeword_bit_distance_known_events(qpsk):
@@ -154,14 +153,8 @@ def test_codeword_bit_distance_known_events(qpsk):
     det_e11 = make_codeword(qpsk, i[-1 - 1j], i[-1 + 1j])
     det_e15 = make_codeword(qpsk, i[-1 - 1j], i[-1 - 1j])
     assert tx.x1 - det_e11.x1 == 2 + 2j and tx.x2 - det_e11.x2 == 2
-    assert codeword_bit_distance(qpsk, tx, det_e11) == 3
-    assert codeword_bit_distance(qpsk, tx, det_e15) == 4
-
-
-def test_codeword_bit_distance_rejects_mixed_constellations(qpsk, qam16):
-    w_qpsk = make_codeword(qpsk, 0, 0)
-    with pytest.raises(ValueError):
-        codeword_bit_distance(qam16, w_qpsk, make_codeword(qam16, 0, 0))
+    assert bit_distance(qpsk, tx.i1, det_e11.i1) + bit_distance(qpsk, tx.i2, det_e11.i2) == 3
+    assert bit_distance(qpsk, tx.i1, det_e15.i1) + bit_distance(qpsk, tx.i2, det_e15.i2) == 4
 
 
 def test_enumerate_codewords_counts_and_order(qpsk, qam16):

@@ -1,6 +1,11 @@
-"""ML and SIC detection: exactness and agreement with independent oracles."""
+"""ML and SIC detection: exactness and agreement with independent oracles.
 
-import cmath
+Every case runs through ``detect`` on whole batches: received vectors come
+from ``synthesize`` on rows of the per-trial draw layout, or are built
+directly as numpy arrays. In a draw row a uniform of 0.5 gives an exact 0.0
+normal, so a channel or noise column set to 0.5 is an exact zero.
+"""
+
 import math
 
 import numpy as np
@@ -9,159 +14,160 @@ import pytest
 from noma_uplink import (
     NoiseModel,
     build_constellation,
+    detect,
     enumerate_codewords,
-    make_codeword,
-    ml_detect,
-    sample_channel,
-    sample_noise,
-    scale_codeword,
-    sic_detect,
-    transmit,
+    synthesize,
 )
-from noma_uplink.channel import ChannelMatrix, ReceivedVector
-from noma_uplink.rng import trial_stream
+from noma_uplink.rng import DRAWS_PER_TRIAL, trial_stream
+
+# detect takes one alpha per call; random-instance tests split their
+# instances evenly over these.
+ALPHAS = (0.5, 0.6, 0.75, 0.9, 0.99)
+
+
+def metric_table(r, h, alpha, c):
+    """||R - H X(w)||^2 for every trial (rows) and codeword w (columns).
+
+    Scored independently of ``detect``: a 2x2 matrix-vector product per trial
+    against the scaled codewords of ``enumerate_codewords``.
+    """
+    H = np.stack(h, axis=-1).reshape(-1, 2, 2)
+    X = np.array([[math.sqrt(alpha) * w.x1 for w in enumerate_codewords(c)],
+                  [math.sqrt(1.0 - alpha) * w.x2 for w in enumerate_codewords(c)]])
+    d = np.stack(r, axis=-1)[:, :, None] - H @ X
+    return np.sum(np.abs(d) ** 2, axis=1)
 
 
 def metric_oracle(r, h, alpha, c):
-    """Independent argmin: sort all (metric, index) pairs, take the first."""
-    H = h.as_array()
-    scored = []
-    for idx, w in enumerate(enumerate_codewords(c)):
-        x = np.array(scale_codeword(w, alpha))
-        d = np.array([r.r1, r.r2]) - H @ x
-        scored.append((float(np.sum(np.abs(d) ** 2)), idx))
-    scored.sort()
-    return scored[0][1]
+    """Independent argmin per trial: sort all (metric, index) pairs, take the first."""
+    return np.array([sorted(zip(row.tolist(), range(row.size)))[0][1]
+                     for row in metric_table(r, h, alpha, c)])
 
 
 def sic_oracle(r, h, alpha, c):
-    """Independent SIC: scalar Python loops over the 2M slicer metrics."""
+    """Independent SIC: scalar Python loops over the 2M slicer metrics, per trial."""
     s1 = math.sqrt(alpha)
     s2 = math.sqrt(1.0 - alpha)
 
-    i1_hat = 0
-    best = None
-    for i, p in enumerate(c.points):
-        d1 = r.r1 - s1 * h.h11 * p
-        d2 = r.r2 - s1 * h.h21 * p
-        m = (d1.real * d1.real + d1.imag * d1.imag
-             + d2.real * d2.real + d2.imag * d2.imag)
-        if best is None or m < best:
-            best, i1_hat = m, i
+    def slice_(y1, y2, g1, g2):
+        i_hat, best = 0, None
+        for i, p in enumerate(c.points):
+            d1 = y1 - g1 * p
+            d2 = y2 - g2 * p
+            m = (d1.real * d1.real + d1.imag * d1.imag
+                 + d2.real * d2.real + d2.imag * d2.imag)
+            if best is None or m < best:
+                best, i_hat = m, i
+        return i_hat
 
-    p1 = c.points[i1_hat]
-    y1 = r.r1 - s1 * h.h11 * p1
-    y2 = r.r2 - s1 * h.h21 * p1
+    j1, j2 = [], []
+    for t in range(len(r[0])):
+        r1, r2 = (complex(z[t]) for z in r)
+        h11, h12, h21, h22 = (complex(z[t]) for z in h)
+        i1_hat = slice_(r1, r2, s1 * h11, s1 * h21)
+        p1 = c.points[i1_hat]
+        y1 = r1 - s1 * h11 * p1
+        y2 = r2 - s1 * h21 * p1
+        j1.append(i1_hat)
+        j2.append(slice_(y1, y2, s2 * h12, s2 * h22))
+    return np.array(j1), np.array(j2)
 
-    i2_hat = 0
-    best = None
-    for i, p in enumerate(c.points):
-        d1 = y1 - s2 * h.h12 * p
-        d2 = y2 - s2 * h.h22 * p
-        m = (d1.real * d1.real + d1.imag * d1.imag
-             + d2.real * d2.real + d2.imag * d2.imag)
-        if best is None or m < best:
-            best, i2_hat = m, i
 
-    return i1_hat, i2_hat
+def channel(n, h11, h12, h21, h22):
+    """The same 2x2 channel for ``n`` trials, as ``detect`` takes it."""
+    return tuple(np.full(n, v, dtype=complex) for v in (h11, h12, h21, h22))
+
+
+def scaled_codewords(c, alpha):
+    """Indices and scaled symbols (sqrt(alpha) x1, sqrt(1-alpha) x2) of every codeword."""
+    cws = enumerate_codewords(c)
+    return (np.array([w.i1 for w in cws]), np.array([w.i2 for w in cws]),
+            np.array([math.sqrt(alpha) * w.x1 for w in cws]),
+            np.array([math.sqrt(1.0 - alpha) * w.x2 for w in cws]))
 
 
 def test_ml_zero_noise_recovers_transmitted():
     c = build_constellation("qpsk")
-    rng = trial_stream(21)
-    for _ in range(20):
-        h = sample_channel(rng)
-        w = make_codeword(c, int(rng.random() * 4), int(rng.random() * 4))
-        r = transmit(h, w, 0.9, (0j, 0j))
-        got = ml_detect(r, h, 0.9, c)
-        assert (got.i1, got.i2) == (w.i1, w.i2)
+    u = trial_stream(21).random((20, DRAWS_PER_TRIAL))
+    u[:, 10:14] = 0.5
+    i1, i2, h, r = synthesize(u, c, 0.9, 1.0)
+    j1, j2 = detect("ml", r, h, 0.9, c)
+    assert np.array_equal(j1, i1) and np.array_equal(j2, i2)
 
 
 def test_ml_small_perturbation_identity_channel():
     # H = I, alpha = 0.9: the minimum candidate separation is 4(1-alpha) = 0.4,
     # so any perturbation with squared norm < 0.1 cannot flip the decision.
     c = build_constellation("qpsk")
-    h = ChannelMatrix(1, 0, 0, 1)
+    i1, i2, x1, x2 = scaled_codewords(c, 0.9)
+    h = channel(len(i1), 1, 0, 0, 1)
     delta = 0.1 + 0.1j  # ||delta||^2 = 0.02 on antenna 1 only
-    for w in enumerate_codewords(c):
-        x1, x2 = scale_codeword(w, 0.9)
-        r = ReceivedVector(x1 + delta, x2)
-        got = ml_detect(r, h, 0.9, c)
-        assert (got.i1, got.i2) == (w.i1, w.i2)
-        # brute-force metric table over the 16 candidates agrees
-        assert metric_oracle(r, h, 0.9, c) == got.i1 * 4 + got.i2
+    r = (x1 + delta, x2)
+    j1, j2 = detect("ml", r, h, 0.9, c)
+    assert np.array_equal(j1, i1) and np.array_equal(j2, i2)
+    # brute-force metric table over the 16 candidates agrees
+    assert np.array_equal(metric_oracle(r, h, 0.9, c), j1 * 4 + j2)
 
 
 def test_ml_output_metric_is_minimal():
     c = build_constellation("qam16")
-    rng = trial_stream(33)
-    nm = NoiseModel.from_ebn0_db(8.0)
-    for _ in range(10):
-        h = sample_channel(rng)
-        w = make_codeword(c, int(rng.random() * 16), int(rng.random() * 16))
-        r = transmit(h, w, 0.7, sample_noise(rng, nm))
-        got = ml_detect(r, h, 0.7, c)
-        H = h.as_array()
-        m_got = float(np.sum(np.abs(np.array([r.r1, r.r2])
-                                    - H @ np.array(scale_codeword(got, 0.7))) ** 2))
-        for cand in enumerate_codewords(c):
-            m = float(np.sum(np.abs(np.array([r.r1, r.r2])
-                                    - H @ np.array(scale_codeword(cand, 0.7))) ** 2))
-            assert m_got <= m + 1e-12
+    u = trial_stream(33).random((10, DRAWS_PER_TRIAL))
+    _, _, h, r = synthesize(u, c, 0.7, NoiseModel.from_ebn0_db(8.0).n0)
+    j1, j2 = detect("ml", r, h, 0.7, c)
+    metrics = metric_table(r, h, 0.7, c)
+    m_got = metrics[np.arange(len(j1)), j1 * c.M + j2]
+    assert (m_got[:, None] <= metrics + 1e-12).all()
 
 
 @pytest.mark.parametrize("kind,n_cases", [("qpsk", 700), ("qam16", 300)])
 def test_ml_matches_sorting_oracle_random_instances(kind, n_cases):
     c = build_constellation(kind)
-    rng = trial_stream(4711)
-    nm = NoiseModel.from_ebn0_db(5.0)
-    for _ in range(n_cases):
-        h = sample_channel(rng)
-        w = make_codeword(c, int(rng.random() * c.M), int(rng.random() * c.M))
-        alpha = 0.5 + 0.49 * rng.random()
-        r = transmit(h, w, alpha, sample_noise(rng, nm))
-        got = ml_detect(r, h, alpha, c)
-        assert got.i1 * c.M + got.i2 == metric_oracle(r, h, alpha, c)
+    u = trial_stream(4711).random((n_cases, DRAWS_PER_TRIAL))
+    n0 = NoiseModel.from_ebn0_db(5.0).n0
+    for k, alpha in enumerate(ALPHAS):
+        _, _, h, r = synthesize(u[k::len(ALPHAS)], c, alpha, n0)
+        j1, j2 = detect("ml", r, h, alpha, c)
+        assert np.array_equal(j1 * c.M + j2, metric_oracle(r, h, alpha, c))
 
 
 @pytest.mark.parametrize("kind,n_cases", [("qpsk", 700), ("qam16", 300)])
 def test_sic_matches_scalar_oracle_random_instances(kind, n_cases):
     c = build_constellation(kind)
-    rng = trial_stream(4712)
-    nm = NoiseModel.from_ebn0_db(5.0)
-    for _ in range(n_cases):
-        h = sample_channel(rng)
-        w = make_codeword(c, int(rng.random() * c.M), int(rng.random() * c.M))
-        alpha = 0.5 + 0.49 * rng.random()
-        r = transmit(h, w, alpha, sample_noise(rng, nm))
-        got = sic_detect(r, h, alpha, c)
-        assert (got.i1, got.i2) == sic_oracle(r, h, alpha, c)
+    u = trial_stream(4712).random((n_cases, DRAWS_PER_TRIAL))
+    n0 = NoiseModel.from_ebn0_db(5.0).n0
+    for k, alpha in enumerate(ALPHAS):
+        _, _, h, r = synthesize(u[k::len(ALPHAS)], c, alpha, n0)
+        j1, j2 = detect("sic", r, h, alpha, c)
+        o1, o2 = sic_oracle(r, h, alpha, c)
+        assert np.array_equal(j1, o1) and np.array_equal(j2, o2)
 
 
 def test_ml_invariant_under_common_phase_rotation():
     c = build_constellation("qpsk")
     rng = trial_stream(55)
-    nm = NoiseModel.from_ebn0_db(6.0)
-    for _ in range(50):
-        h = sample_channel(rng)
-        w = make_codeword(c, int(rng.random() * 4), int(rng.random() * 4))
-        r = transmit(h, w, 0.8, sample_noise(rng, nm))
-        theta = 2 * math.pi * rng.random()
-        rot = cmath.exp(1j * theta)
-        h_rot = ChannelMatrix(h.h11 * rot, h.h12 * rot, h.h21 * rot, h.h22 * rot)
-        r_rot = ReceivedVector(r.r1 * rot, r.r2 * rot)
-        a = ml_detect(r, h, 0.8, c)
-        b = ml_detect(r_rot, h_rot, 0.8, c)
-        assert (a.i1, a.i2) == (b.i1, b.i2)
+    u = rng.random((50, DRAWS_PER_TRIAL))
+    _, _, h, r = synthesize(u, c, 0.8, NoiseModel.from_ebn0_db(6.0).n0)
+    rot = np.exp(1j * 2 * math.pi * rng.random(50))
+    a = detect("ml", r, h, 0.8, c)
+    b = detect("ml", tuple(z * rot for z in r), tuple(z * rot for z in h), 0.8, c)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_sic_no_interference_column_detects_user1():
+    # Every codeword over a random channel whose user-2 column (h12, h22) is
+    # zero, without noise.
     c = build_constellation("qpsk")
-    h = ChannelMatrix(0.8 - 0.3j, 0, 0.1 + 1.2j, 0)  # user 2 column is zero
-    for w in enumerate_codewords(c):
-        r = transmit(h, w, 0.9, (0j, 0j))
-        got = sic_detect(r, h, 0.9, c)
-        assert got.i1 == w.i1
+    i1, i2 = np.divmod(np.arange(c.M * c.M), c.M)
+    u = trial_stream(8).random((c.M * c.M, DRAWS_PER_TRIAL))
+    u[:, 0] = (i1 + 0.5) / c.M
+    u[:, 1] = (i2 + 0.5) / c.M
+    u[:, [4, 5, 8, 9]] = 0.5
+    u[:, 10:14] = 0.5
+    sent1, _, h, r = synthesize(u, c, 0.9, 1.0)
+    assert np.array_equal(sent1, i1)
+    assert not h[1].any() and not h[3].any()
+    j1, _ = detect("sic", r, h, 0.9, c)
+    assert np.array_equal(j1, i1)
 
 
 @pytest.mark.parametrize("alpha", [0.6, 0.9])
@@ -169,15 +175,22 @@ def test_sic_orthogonal_columns_zero_noise_exact(alpha):
     # Orthogonal channel columns: after correct stage-1 cancellation the
     # stage-2 residual is interference-free, so SIC is exact without noise.
     c = build_constellation("qpsk")
-    h = ChannelMatrix(1, 1, 1, -1)
-    for w in enumerate_codewords(c):
-        r = transmit(h, w, alpha, (0j, 0j))
-        got = sic_detect(r, h, alpha, c)
-        assert (got.i1, got.i2) == (w.i1, w.i2)
+    i1, i2, x1, x2 = scaled_codewords(c, alpha)
+    h = channel(len(i1), 1, 1, 1, -1)
+    j1, j2 = detect("sic", (x1 + x2, x1 - x2), h, alpha, c)
+    assert np.array_equal(j1, i1) and np.array_equal(j2, i2)
 
 
 def test_sic_tie_breaks_to_lowest_index():
     c = build_constellation("qpsk")
-    h = ChannelMatrix(0, 0, 0, 0)
-    got = sic_detect(ReceivedVector(0j, 0j), h, 0.9, c)
-    assert (got.i1, got.i2) == (0, 0)
+    zero = np.zeros(1, dtype=complex)
+    j1, j2 = detect("sic", (zero, zero), channel(1, 0, 0, 0, 0), 0.9, c)
+    assert (j1[0], j2[0]) == (0, 0)
+
+
+def test_ml_tie_breaks_to_lowest_index():
+    # A zero channel makes all M^2 metrics equal.
+    c = build_constellation("qam16")
+    zero = np.zeros(1, dtype=complex)
+    j1, j2 = detect("ml", (zero, zero), channel(1, 0, 0, 0, 0), 0.7, c)
+    assert (j1[0], j2[0]) == (0, 0)

@@ -13,22 +13,17 @@ from noma_uplink import (
     build_constellation,
     crossing_ebn0_db,
     detect,
-    make_codeword,
-    ml_detect,
     point_stream_key,
     run_ber_point,
-    sample_channel,
-    sample_noise,
-    sic_detect,
     snr_degradation,
     sweep,
     synthesize,
-    transmit,
     trial_stream,
     union_bound_value,
 )
 from noma_uplink.montecarlo import BerCurve, BerPoint, TRIALS_PER_BLOCK
-from noma_uplink.rng import DRAWS_PER_TRIAL
+from noma_uplink.rng import DRAWS_PER_TRIAL, normals_from_uniforms
+from test_detectors import metric_oracle, sic_oracle
 
 
 def small_cfg(**kw):
@@ -61,9 +56,10 @@ class TestVectorizedMatchesScalarPath:
     @pytest.mark.parametrize("kind", ["qpsk", "qam16"])
     @pytest.mark.parametrize("detector", ["ml", "sic"])
     def test_block_errors_equal_scalar_trials(self, kind, detector):
-        # A batch decoded by synthesize and decided by detect must match, trial
-        # for trial, the one-draw composition of sample_channel, sample_noise,
-        # transmit and the single-vector detector on the same stream.
+        # synthesize must decode each row by the documented draw layout:
+        # symbol picks u[:, 0:2], channel u[:, 2:10], noise u[:, 10:14], each
+        # complex entry a (real, imag) pair of normals. detect must agree,
+        # trial for trial, with the independent ML and SIC oracles.
         alpha, ebn0 = 0.85, 6.0
         seed = 98765
         c = build_constellation(kind)
@@ -73,22 +69,24 @@ class TestVectorizedMatchesScalarPath:
 
         u = trial_stream(key).random((n, DRAWS_PER_TRIAL))
         i1, i2, h, r = synthesize(u, c, alpha, nm.n0)
-        j1, j2 = detect(detector, r, h, alpha, c)
-        scalar_detect = ml_detect if detector == "ml" else sic_detect
+        assert np.array_equal(i1, np.floor(u[:, 0] * c.M))
+        assert np.array_equal(i2, np.floor(u[:, 1] * c.M))
+        g = normals_from_uniforms(u[:, 2:14])
+        h_expected = g[:, 0:8:2] / math.sqrt(2.0) + 1j * (g[:, 1:8:2] / math.sqrt(2.0))
+        w = g[:, 8::2] * math.sqrt(nm.n0) + 1j * (g[:, 9::2] * math.sqrt(nm.n0))
+        assert np.array_equal(np.stack(h, axis=-1), h_expected)
+        points = np.array(c.points)
+        x = np.stack([math.sqrt(alpha) * points[i1], math.sqrt(1 - alpha) * points[i2]], axis=-1)
+        r_expected = (h_expected.reshape(-1, 2, 2) @ x[:, :, None])[:, :, 0] + w
+        # matmul and the elementwise sum round in a different order
+        np.testing.assert_allclose(np.stack(r, axis=-1), r_expected, rtol=1e-12)
 
-        for t in range(n):
-            rng = trial_stream(key, first_trial=t)
-            u_sym = rng.random(2)
-            w = make_codeword(c, int(u_sym[0] * c.M), int(u_sym[1] * c.M))
-            h_t = sample_channel(rng)
-            r_t = transmit(h_t, w, alpha, sample_noise(rng, nm))
-            assert (i1[t], i2[t]) == (w.i1, w.i2)
-            assert tuple(hk[t] for hk in h) == (h_t.h11, h_t.h12, h_t.h21, h_t.h22)
-            # numpy and Python round a complex product differently in the last bit
-            assert r[0][t] == pytest.approx(r_t.r1, rel=1e-12)
-            assert r[1][t] == pytest.approx(r_t.r2, rel=1e-12)
-            got = scalar_detect(r_t, h_t, alpha, c)
-            assert (j1[t], j2[t]) == (got.i1, got.i2)
+        j1, j2 = detect(detector, r, h, alpha, c)
+        if detector == "ml":
+            assert np.array_equal(j1 * c.M + j2, metric_oracle(r, h, alpha, c))
+        else:
+            o1, o2 = sic_oracle(r, h, alpha, c)
+            assert np.array_equal(j1, o1) and np.array_equal(j2, o2)
 
 
 class TestDeterminism:
