@@ -8,6 +8,7 @@ probability, and a reproducible Monte Carlo BER harness.
 """
 
 from .bounds import (
+    TABLE_ALPHAS,
     ErrorEvent,
     PepTableRow,
     enumerate_error_events,
@@ -17,18 +18,10 @@ from .bounds import (
     pairwise_sum_excess,
     pep_bound,
     symmetry_gaps,
-    table_abep_bounds,
     union_bound_value,
 )
 from .channel import NoiseModel, synthesize, validate_alpha
-from .constellation import (
-    Codeword,
-    Constellation,
-    bit_distance,
-    build_constellation,
-    enumerate_codewords,
-    make_codeword,
-)
+from .constellation import Constellation, build_constellation
 from .detectors import detect
 from .montecarlo import (
     BerCurve,

@@ -1,7 +1,11 @@
 """Error-event enumeration, PEP upper bounds, and union bounds on the ABEP.
 
-For an error event with symbol differences ``(u, v) = (x1 - x1_hat,
-x2 - x2_hat)`` the scaled difference vector has squared norm
+Codewords are pairs of symbol indices; every quantity here is computed
+from indices, ``Constellation.points`` and ``Constellation.hamming``. For
+the error event from ``(i1, i2)`` to ``(k1, k2)``, with symbol differences
+``(u, v) = (points[i1] - points[k1], points[i2] - points[k2])`` and
+``n_bits = hamming[i1][k1] + hamming[i2][k2]``, the scaled difference
+vector has squared norm
 
     d2(alpha) = alpha*|u|^2 + (1 - alpha)*|v|^2
 
@@ -18,6 +22,11 @@ two-branch Rayleigh PEP is ``((1 - mu)/2)**2 * (2 + mu)``, which never
 exceeds 3/4 of ``pep_bound`` (the ratio is 1/2 at gamma = 0 and tends to
 3/4 from below as gamma grows).
 
+The expression is written once, in ``_pep``, and squares with ``q*q``, an
+exactly rounded product on floats and numpy arrays alike. So a Table-1 row,
+``pairwise_sum_excess`` and the union bound all score an event with the
+same bits.
+
 The bit-weighted union bound averages ``n_bits * pep`` over every ordered
 pair of distinct codewords and divides by ``M^2 * 2*log2(M)``.
 
@@ -29,6 +38,12 @@ class member has the same rounded term.
 
 Because the summed PEPs span many orders of magnitude, every bound total is
 accumulated with ``math.fsum`` (exactly rounded, partition-independent).
+
+Table 1's ABEP footer is ``union_bound_value`` for QPSK at ``TABLE_ALPHAS``.
+Every QPSK transmitted codeword has the same 15 event terms, so the bound
+equals the ``fsum`` of the table rows' ``n_bits * pep`` divided by 4
+exactly: the 16-codeword total is 16 times the row total, and scaling by a
+power of two does not round.
 """
 
 import math
@@ -38,12 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import validate_alpha
-from .constellation import (
-    bit_distance,
-    build_constellation,
-    enumerate_codewords,
-    make_codeword,
-)
+from .constellation import build_constellation
 
 
 @dataclass(frozen=True)
@@ -53,9 +63,6 @@ class ErrorEvent:
     u: complex
     v: complex
     n_bits: int
-
-    def norm_sq(self, alpha):
-        return event_norm(self.u, self.v, alpha)
 
 
 @dataclass(frozen=True)
@@ -72,13 +79,21 @@ class PepTableRow:
     pep_alpha_hi: float
 
 
+def _pep(d2, n0):
+    # The one PEP-bound expression, for a float or an array d2. It squares
+    # with q * q: a float ``q ** 2`` calls libm pow, which can differ in the
+    # last bit from the exactly rounded product that numpy computes.
+    q = 1.0 / (1.0 + d2 / (4.0 * n0))
+    return q * q
+
+
 def pep_bound(d2, n0):
     """Upper bound on the pairwise error probability at squared distance d2."""
     if not 0.0 < n0 < math.inf:
         raise ValueError(f"n0 must satisfy 0 < n0 < inf, got {n0}")
     if not d2 >= 0:
         raise ValueError(f"squared distance must be nonnegative, got {d2}")
-    return (1.0 / (1.0 + d2 / (4.0 * n0))) ** 2
+    return _pep(d2, n0)
 
 
 def _abs2(z):
@@ -125,24 +140,18 @@ def pairwise_sum_excess(u, v, alpha, n0):
     return pep_bound(d2_a, n0) + pep_bound(d2_b, n0) - 2.0 * pep_bound(d2_balanced, n0)
 
 
-def enumerate_error_events(c, transmitted):
-    """All M^2 - 1 error events for one transmitted codeword.
+def enumerate_error_events(c, i1, i2):
+    """All M^2 - 1 error events for the transmitted codeword ``(i1, i2)``.
 
-    Order matches ``enumerate_codewords`` with the transmitted codeword
-    skipped (identity by symbol indices).
+    Row-major over the detected indices ``(k1, k2)`` (user 2 fastest), with
+    the transmitted pair skipped. This is the scalar reference that the
+    distance spectrum of ``union_bound_value`` condenses.
     """
-    events = []
-    for w_hat in enumerate_codewords(c):
-        if w_hat.i1 == transmitted.i1 and w_hat.i2 == transmitted.i2:
-            continue
-        n_bits = (bit_distance(c, transmitted.i1, w_hat.i1)
-                  + bit_distance(c, transmitted.i2, w_hat.i2))
-        events.append(ErrorEvent(
-            u=transmitted.x1 - w_hat.x1,
-            v=transmitted.x2 - w_hat.x2,
-            n_bits=n_bits,
-        ))
-    return events
+    if not (0 <= i1 < c.M and 0 <= i2 < c.M):
+        raise IndexError(f"symbol index out of range for M={c.M}: ({i1}, {i2})")
+    p, h = c.points, c.hamming
+    return [ErrorEvent(p[i1] - p[k1], p[i2] - p[k2], h[i1][k1] + h[i2][k2])
+            for k1 in range(c.M) for k2 in range(c.M) if (k1, k2) != (i1, i2)]
 
 
 @lru_cache(maxsize=4)
@@ -175,10 +184,10 @@ def _distance_spectrum(kind):
 def union_bound_value(c, alpha, n0):
     """Bit-weighted union bound on the ABEP, from the distance spectrum.
 
-    Bit for bit the ``fsum`` of ``n_bits * pep`` over every ordered pair of
-    distinct codewords, divided by ``M^2 * 2*log2(M)``. A class of
-    multiplicity ``m`` stands for ``m`` equal rounded terms ``t``; it is fed
-    to ``fsum`` as the terms ``2^k * t`` for the set bits of ``m``.
+    Bit for bit the ``fsum`` of ``n_bits * pep_bound(d2, n0)`` over every
+    ordered pair of distinct codewords, divided by ``M^2 * 2*log2(M)``. A
+    class of multiplicity ``m`` stands for ``m`` equal rounded terms ``t``;
+    it is fed to ``fsum`` as the terms ``2^k * t`` for the set bits of ``m``.
     Multiplying by ``2^k`` only changes the exponent, so it is exact unless
     it overflows, which ``t <= n_bits`` and ``2^k <= m`` rule out. ``fsum``
     therefore sees the same exact total as from the ``m`` separate terms and
@@ -189,7 +198,7 @@ def union_bound_value(c, alpha, n0):
         raise ValueError(f"n0 must satisfy 0 < n0 < inf, got {n0}")
     abs_u2, abs_v2, n_bits, scale = _distance_spectrum(c.kind)
     d2 = alpha * abs_u2 + (1.0 - alpha) * abs_v2
-    weighted = n_bits * (1.0 / (1.0 + d2 / (4.0 * n0))) ** 2
+    weighted = n_bits * _pep(d2, n0)
     return math.fsum((scale * weighted).tolist()) / (c.M**2 * 2 * c.bits_per_symbol)
 
 
@@ -226,34 +235,14 @@ def error_event_pep_table(n0=0.01):
     codeword (1+1j, 1+1j); by symmetry the QPSK PEP set is the same for
     every transmitted codeword.
     """
-    alpha_lo, alpha_hi = TABLE_ALPHAS
-    c = build_constellation("qpsk")
-    tx = make_codeword(c, 0, 0)  # (1+1j, 1+1j)
-    events = enumerate_error_events(c, tx)
-    by_diff = {(e.u, e.v): e for e in events}
+    n_bits = {(e.u, e.v): e.n_bits  # transmitted (1+1j, 1+1j)
+              for e in enumerate_error_events(build_constellation("qpsk"), 0, 0)}
     rows = []
     for idx, (du, dv) in enumerate(_QPSK_TABLE_DIFFS, start=1):
-        e = by_diff[(du, dv)]
-        d2_lo = event_norm(du, dv, alpha_lo)
-        d2_hi = event_norm(du, dv, alpha_hi)
-        rows.append(PepTableRow(
-            event_id=f"E{idx}",
-            u=du,
-            v=dv,
-            n_bits=e.n_bits,
-            d2_alpha_lo=d2_lo,
-            d2_alpha_hi=d2_hi,
-            pep_alpha_lo=pep_bound(d2_lo, n0),
-            pep_alpha_hi=pep_bound(d2_hi, n0),
-        ))
+        d2_lo, d2_hi = (event_norm(du, dv, a) for a in TABLE_ALPHAS)
+        rows.append(PepTableRow(f"E{idx}", du, dv, n_bits[(du, dv)], d2_lo, d2_hi,
+                                pep_bound(d2_lo, n0), pep_bound(d2_hi, n0)))
     return rows
-
-
-def table_abep_bounds(rows):
-    """Weighted ABEP bounds assembled from a 15-row table (lo and hi alpha)."""
-    lo = math.fsum(r.n_bits * r.pep_alpha_lo for r in rows) / 4.0
-    hi = math.fsum(r.n_bits * r.pep_alpha_hi for r in rows) / 4.0
-    return lo, hi
 
 
 def optimal_alpha(c, n0, grid):

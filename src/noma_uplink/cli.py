@@ -26,12 +26,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .bounds import (
-    TABLE_ALPHAS,
-    error_event_pep_table,
-    table_abep_bounds,
-    union_bound_value,
-)
+from .bounds import TABLE_ALPHAS, error_event_pep_table, union_bound_value
 from .constellation import KINDS, build_constellation
 from .channel import NoiseModel, validate_alpha
 from .detectors import DETECTORS
@@ -150,7 +145,8 @@ def _cmd_constellation(args):
 def _cmd_table1(args):
     nm = args.noise
     rows = error_event_pep_table(n0=nm.n0)
-    bound_lo, bound_hi = table_abep_bounds(rows)
+    qpsk = build_constellation("qpsk")
+    bound_lo, bound_hi = (union_bound_value(qpsk, a, nm.n0) for a in TABLE_ALPHAS)
     alpha_lo, alpha_hi = TABLE_ALPHAS
     lo, hi = (f"alpha_{a:g}" for a in TABLE_ALPHAS)
     params = {"n0": _f17(nm.n0), "snr_db": _f17(nm.ebn0_db),

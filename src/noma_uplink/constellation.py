@@ -15,6 +15,13 @@ energy per bit is 1 for each user. Points are indexed by their label read
 as a binary integer, so ``points[0]`` is the all-zeros label. Symbol
 identity is always by index, never by floating-point comparison of
 coordinates.
+
+A codeword is a pair of symbol indices ``(i1, i2)``, one per user. The
+analytic layer (``bounds``) reads nothing but indices, ``points`` and the
+one Hamming table ``hamming``: an error event from ``(i1, i2)`` to
+``(k1, k2)`` has differences ``points[i1] - points[k1]`` and
+``points[i2] - points[k2]`` and costs ``hamming[i1][k1] + hamming[i2][k2]``
+bits.
 """
 
 import math
@@ -46,22 +53,6 @@ class Constellation:
                      for la in self.labels)
 
 
-@dataclass(frozen=True)
-class Codeword:
-    """A pair of user symbols drawn from one constellation.
-
-    ``i1``/``i2`` are the symbol indices of users 1 and 2; they are the
-    identity used for exact comparisons. ``label_bits`` is the concatenation
-    of both users' labels (2 * bits_per_symbol bits).
-    """
-
-    i1: int
-    i2: int
-    x1: complex
-    x2: complex
-    label_bits: str
-
-
 def build_constellation(kind):
     """Build the QPSK or 16QAM constellation described in the module docs."""
     if kind not in _AXES:
@@ -72,20 +63,3 @@ def build_constellation(kind):
     points = tuple(complex(levels[re] * scale, levels[im] * scale)
                    for re in axis for im in axis)
     return Constellation(kind, points, labels, len(points), 2 * len(axis[0]))
-
-
-def bit_distance(c, a, b):
-    """Hamming distance between the labels of points ``a`` and ``b``."""
-    if not (0 <= a < c.M and 0 <= b < c.M):
-        raise IndexError(f"symbol index out of range for M={c.M}: ({a}, {b})")
-    return c.hamming[a][b]
-
-
-def make_codeword(c, i1, i2):
-    """Codeword for symbol indices (i1, i2) of constellation ``c``."""
-    return Codeword(i1, i2, c.points[i1], c.points[i2], c.labels[i1] + c.labels[i2])
-
-
-def enumerate_codewords(c):
-    """All M^2 codewords, row-major by symbol indices (user 2 fastest)."""
-    return [make_codeword(c, i1, i2) for i1 in range(c.M) for i2 in range(c.M)]

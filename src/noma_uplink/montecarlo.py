@@ -60,6 +60,8 @@ class SimConfig:
             raise ValueError(f"unknown detector {self.detector!r}")
         for a in self.alphas:
             validate_alpha(a)
+        if len(set(self.alphas)) != len(self.alphas):
+            raise ValueError("alphas must not repeat")
         grid = tuple(self.ebn0_db_grid)
         for s in grid:
             NoiseModel.from_ebn0_db(s)

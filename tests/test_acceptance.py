@@ -10,6 +10,7 @@ not flaky statistical ones.
 """
 
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from noma_uplink import (
     SimConfig,
     build_constellation,
     detect,
-    enumerate_codewords,
     event_norm,
     pairwise_sum_excess,
     pep_bound,
@@ -261,8 +261,9 @@ def test_criterion_6d_ml_equals_exhaustive_oracle():
         j1, j2 = detect("ml", r, h, alpha, c)
         # independent oracle: sort all (metric, index) pairs of each trial
         H = np.stack(h, axis=-1).reshape(-1, 2, 2)
-        X = np.array([[math.sqrt(alpha) * w.x1 for w in enumerate_codewords(c)],
-                      [math.sqrt(1.0 - alpha) * w.x2 for w in enumerate_codewords(c)]])
+        pairs = list(itertools.product(range(c.M), repeat=2))
+        X = np.array([[math.sqrt(alpha) * c.points[i1] for i1, _ in pairs],
+                      [math.sqrt(1.0 - alpha) * c.points[i2] for _, i2 in pairs]])
         metrics = np.sum(np.abs(np.stack(r, axis=-1)[:, :, None] - H @ X) ** 2, axis=1)
         oracle = [sorted(zip(row.tolist(), range(row.size)))[0][1] for row in metrics]
         assert (j1 * 4 + j2).tolist() == oracle

@@ -6,14 +6,18 @@ the package would otherwise go unnoticed. ``perfbench/workloads.py`` passes
 its Monte Carlo workloads to ``SimConfig`` as keyword fields, so removing or
 renaming a field would break the benchmark. ``perfbench/child.py`` calls the
 package as ``nu.<name>``, so every such name must stay a package attribute.
-No test runs the scripts under ``demos/``, so the names they import from the
-package are checked here too.
+The names the scripts under ``demos/`` import from the package are checked
+here too. The two bound-only demos take about half a second each and are run
+end to end; the two Monte Carlo demos take about a minute each and are not.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +27,7 @@ from noma_uplink import SimConfig
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 _DEMOS = Path(__file__).resolve().parents[1] / "demos"
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _load(name):
@@ -62,3 +67,14 @@ def test_demo_imports_are_package_attributes(demo):
              for alias in node.names]
     assert names, f"{demo} no longer imports from noma_uplink"
     assert sorted(n for n in names if not hasattr(noma_uplink, n)) == []
+
+
+@pytest.mark.parametrize("demo,line", [
+    ("pep_table.py", "imbalance penalty: 6.9x"),
+    ("balance_optimality.py", "raises the bound, at every SNR and for both constellations."),
+])
+def test_bound_only_demo_runs(demo, line):
+    proc = subprocess.run([sys.executable, str(_DEMOS / demo)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(_SRC)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert line in proc.stdout.splitlines()

@@ -6,6 +6,7 @@ Frozen expected values were computed independently: the bound kernel
 counts enumerated from the fixed Gray map.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -14,17 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noma_uplink import (
+    TABLE_ALPHAS,
     build_constellation,
-    enumerate_codewords,
     enumerate_error_events,
     error_event_pep_table,
     event_norm,
-    make_codeword,
     optimal_alpha,
     pairwise_sum_excess,
     pep_bound,
     symmetry_gaps,
-    table_abep_bounds,
     union_bound_value,
 )
 
@@ -181,8 +180,7 @@ class TestPairwiseSumExcess:
         assert pairwise_sum_excess(1 + 1j, 1 - 1j, 0.77, 0.3) == 0.0
 
     def test_positive_on_exhaustive_qpsk_pairs(self):
-        diffs = sorted({w.x1 - v.x1 for w in [make_codeword(QPSK, i, 0) for i in range(4)]
-                        for v in [make_codeword(QPSK, j, 0) for j in range(4)]},
+        diffs = sorted({a - b for a in QPSK.points for b in QPSK.points},
                        key=lambda z: (z.real, z.imag))
         for alpha in (0.6, 0.9, 0.99):
             for n0 in (0.1, 0.01, 0.001):
@@ -208,8 +206,7 @@ class TestPairwiseSumExcess:
 
 class TestErrorEventEnumeration:
     def test_qpsk_event_multiset_matches_table(self):
-        tx = make_codeword(QPSK, 0, 0)  # (1+1j, 1+1j)
-        events = enumerate_error_events(QPSK, tx)
+        events = enumerate_error_events(QPSK, 0, 0)  # (1+1j, 1+1j)
         assert len(events) == 15
         got = sorted(((e.u, e.v, e.n_bits) for e in events),
                      key=lambda t: (t[0].real, t[0].imag, t[1].real, t[1].imag))
@@ -219,13 +216,18 @@ class TestErrorEventEnumeration:
 
     @pytest.mark.parametrize("c,expected", [(QPSK, 15), (QAM16, 255)])
     def test_event_count(self, c, expected):
-        assert len(enumerate_error_events(c, make_codeword(c, 1, 1))) == expected
+        assert len(enumerate_error_events(c, 1, 1)) == expected
 
     def test_events_are_nonzero_and_ordered(self):
-        tx = make_codeword(QPSK, 2, 3)
-        events = enumerate_error_events(QPSK, tx)
+        events = enumerate_error_events(QPSK, 2, 3)
         assert all((e.u, e.v) != (0j, 0j) for e in events)
         assert all(e.n_bits >= 1 for e in events)
+
+    @pytest.mark.parametrize("i1,i2", [(4, 0), (0, 4), (-1, 0), (0, -1)])
+    def test_rejects_bad_index(self, i1, i2):
+        # a negative index would wrap and never match the skipped pair
+        with pytest.raises(IndexError):
+            enumerate_error_events(QPSK, i1, i2)
 
 
 class TestPepTable:
@@ -251,7 +253,8 @@ class TestPepTable:
 @pytest.fixture(scope="module")
 def all_error_events():
     """Every error event of every transmitted codeword, from the scalar path."""
-    return {c.kind: [e for tx in enumerate_codewords(c) for e in enumerate_error_events(c, tx)]
+    return {c.kind: [e for i1, i2 in itertools.product(range(c.M), repeat=2)
+                     for e in enumerate_error_events(c, i1, i2)]
             for c in (QPSK, QAM16)}
 
 
@@ -262,11 +265,16 @@ class TestUnionBound:
 
     def test_full_double_sum_equals_single_codeword_assembly(self):
         # QPSK PEPs do not depend on the transmitted codeword, so the
-        # 16-codeword average must equal the one-codeword table sum exactly.
-        rows = error_event_pep_table(n0=0.01)
-        lo, hi = table_abep_bounds(rows)
-        assert union_bound_value(QPSK, 0.5, 0.01) == pytest.approx(lo, rel=1e-15)
-        assert union_bound_value(QPSK, 0.9, 0.01) == pytest.approx(hi, rel=1e-15)
+        # 16-codeword average must equal the one-codeword table sum exactly,
+        # on a 0.1-dB grid from -50 to 130 dB.
+        alpha_lo, alpha_hi = TABLE_ALPHAS
+        for i in range(1801):
+            n0 = 10.0 ** (-round(-50.0 + 0.1 * i, 1) / 10.0)
+            rows = error_event_pep_table(n0=n0)
+            lo = math.fsum(r.n_bits * r.pep_alpha_lo for r in rows) / 4.0
+            hi = math.fsum(r.n_bits * r.pep_alpha_hi for r in rows) / 4.0
+            assert union_bound_value(QPSK, alpha_lo, n0) == lo, n0
+            assert union_bound_value(QPSK, alpha_hi, n0) == hi, n0
 
     @pytest.mark.parametrize("c", [QPSK, QAM16], ids=["qpsk", "qam16"])
     def test_equals_scalar_per_event_sum(self, c, all_error_events):
@@ -275,9 +283,9 @@ class TestUnionBound:
         events = all_error_events[c.kind]
         assert len(events) == c.M**2 * (c.M**2 - 1)
         for alpha in (0.5, 0.61, 0.75, 0.9, 0.99):
-            for ebn0_db in (0, 8, 16, 24, 32, 40):
+            for ebn0_db in (-9.8, 0, 8, 16, 20.7, 24, 32, 40):
                 n0 = 10.0 ** (-ebn0_db / 10.0)
-                expected = math.fsum(e.n_bits * pep_bound(e.norm_sq(alpha), n0)
+                expected = math.fsum(e.n_bits * pep_bound(event_norm(e.u, e.v, alpha), n0)
                                      for e in events)
                 expected /= c.M**2 * 2 * c.bits_per_symbol
                 assert union_bound_value(c, alpha, n0) == expected, (alpha, ebn0_db)

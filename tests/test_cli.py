@@ -76,6 +76,18 @@ class TestTable1:
         assert lo == pytest.approx(8e-4, rel=0.15)
         assert hi == pytest.approx(5e-3, rel=0.15)
 
+    def test_footer_is_the_bound_output(self, tmp_path):
+        # The footer is union_bound_value, so it matches ``bound`` digit for
+        # digit, also at 20.7 dB, where libm pow and q*q differ in the last bit.
+        t1, b = tmp_path / "t1.csv", tmp_path / "b.csv"
+        assert run_cli(["table1", "--snr-db", "20.7", "--out", str(t1)]) == 0
+        assert run_cli(["bound", "--constellation", "qpsk", "--alpha-grid", "0.5,0.9",
+                        "--snr-grid-db", "20.7", "--out", str(b)]) == 0
+        footer = {r["event"]: r for r in data_rows(t1)}
+        bound = {float(r["alpha"]): r["abep_bound"] for r in data_rows(b)}
+        assert footer["abep_bound_alpha_0.5"]["pep_alpha_0.5"] == bound[0.5]
+        assert footer["abep_bound_alpha_0.9"]["pep_alpha_0.9"] == bound[0.9]
+
     def test_n0_and_snr_flags_give_identical_files(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(["table1", "--n0", "0.01", "--out", str(a)])

@@ -1,16 +1,15 @@
-"""Constellation construction, energy normalization, and bit bookkeeping."""
+"""Constellation construction, energy normalization, and bit bookkeeping.
+
+A codeword is a pair of symbol indices; its bit distances are read from the
+one Hamming table, ``Constellation.hamming``.
+"""
 
 import itertools
 import math
 
 import pytest
 
-from noma_uplink import (
-    bit_distance,
-    build_constellation,
-    enumerate_codewords,
-    make_codeword,
-)
+from noma_uplink import build_constellation, enumerate_error_events
 
 # Fixed Gray map for QPSK: label (b0 b1) -> (1-2b0) + j(1-2b1). Written out
 # literally so the tests do not depend on the implementation's own tables.
@@ -100,34 +99,28 @@ def test_gray_property_axis_neighbors(kind):
         )
         if axis_neighbor:
             pairs += 1
-            assert bit_distance(c, a, b) == 1
+            assert c.hamming[a][b] == 1
     assert pairs == (4 if kind == "qpsk" else 24)
 
 
 def test_bit_distance_basics(qpsk):
     i = {p: k for k, p in enumerate(qpsk.points)}
-    assert bit_distance(qpsk, 2, 2) == 0
-    assert bit_distance(qpsk, i[1 + 1j], i[-1 + 1j]) == 1
-    assert bit_distance(qpsk, i[1 + 1j], i[-1 - 1j]) == 2
-
-
-def test_bit_distance_rejects_bad_index(qpsk):
-    with pytest.raises(IndexError):
-        bit_distance(qpsk, 0, 4)
-    with pytest.raises(IndexError):
-        bit_distance(qpsk, -1, 0)
+    assert qpsk.hamming[2][2] == 0
+    assert qpsk.hamming[i[1 + 1j]][i[-1 + 1j]] == 1
+    assert qpsk.hamming[i[1 + 1j]][i[-1 - 1j]] == 2
 
 
 @pytest.mark.parametrize("kind", ["qpsk", "qam16"])
 def test_bit_distance_is_a_metric(kind):
     c = build_constellation(kind)
+    h = c.hamming
     for a in range(c.M):
-        assert bit_distance(c, a, a) == 0
+        assert h[a][a] == 0
         for b in range(c.M):
-            assert bit_distance(c, a, b) == bit_distance(c, b, a)
-            assert (bit_distance(c, a, b) == 0) == (a == b)
+            assert h[a][b] == h[b][a]
+            assert (h[a][b] == 0) == (a == b)
             for d in range(c.M):
-                assert bit_distance(c, a, d) <= bit_distance(c, a, b) + bit_distance(c, b, d)
+                assert h[a][d] <= h[a][b] + h[b][d]
 
 
 def test_qpsk_difference_bit_contributions_exhaustive(qpsk):
@@ -137,37 +130,37 @@ def test_qpsk_difference_bit_contributions_exhaustive(qpsk):
         for b in range(4):
             d = qpsk.points[a] - qpsk.points[b]
             expected = {0.0: 0, 4.0: 1, 8.0: 2}[d.real**2 + d.imag**2]
-            assert bit_distance(qpsk, a, b) == expected
+            assert qpsk.hamming[a][b] == expected
 
 
 def test_codeword_bit_distance_identity(qpsk):
-    w = make_codeword(qpsk, 1, 3)
-    assert bit_distance(qpsk, w.i1, w.i1) + bit_distance(qpsk, w.i2, w.i2) == 0
+    i1, i2 = 1, 3
+    assert qpsk.hamming[i1][i1] + qpsk.hamming[i2][i2] == 0
 
 
 def test_codeword_bit_distance_known_events(qpsk):
     # Transmitted (1+1j, 1+1j); detected codewords chosen so the differences
     # are (2+2j, 2) -> 3 bits and (2+2j, 2+2j) -> 4 bits under the fixed map.
     i = {p: k for k, p in enumerate(qpsk.points)}
-    tx = make_codeword(qpsk, i[1 + 1j], i[1 + 1j])
-    det_e11 = make_codeword(qpsk, i[-1 - 1j], i[-1 + 1j])
-    det_e15 = make_codeword(qpsk, i[-1 - 1j], i[-1 - 1j])
-    assert tx.x1 - det_e11.x1 == 2 + 2j and tx.x2 - det_e11.x2 == 2
-    assert bit_distance(qpsk, tx.i1, det_e11.i1) + bit_distance(qpsk, tx.i2, det_e11.i2) == 3
-    assert bit_distance(qpsk, tx.i1, det_e15.i1) + bit_distance(qpsk, tx.i2, det_e15.i2) == 4
+    p, h = qpsk.points, qpsk.hamming
+    tx = (i[1 + 1j], i[1 + 1j])
+    det_e11 = (i[-1 - 1j], i[-1 + 1j])
+    det_e15 = (i[-1 - 1j], i[-1 - 1j])
+    assert p[tx[0]] - p[det_e11[0]] == 2 + 2j and p[tx[1]] - p[det_e11[1]] == 2
+    assert h[tx[0]][det_e11[0]] + h[tx[1]][det_e11[1]] == 3
+    assert h[tx[0]][det_e15[0]] + h[tx[1]][det_e15[1]] == 4
 
 
 def test_enumerate_codewords_counts_and_order(qpsk, qam16):
-    cws = enumerate_codewords(qpsk)
-    assert len(cws) == 16
-    assert len(enumerate_codewords(qam16)) == 256
-    assert (cws[0].x1, cws[0].x2) == (qpsk.points[0], qpsk.points[0])
-    # row-major: user-2 index cycles fastest
-    assert [(w.i1, w.i2) for w in cws[:5]] == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]
-    assert len({(w.i1, w.i2) for w in cws}) == 16
-
-
-def test_codeword_label_bits(qpsk):
-    w = make_codeword(qpsk, 1, 2)
-    assert w.label_bits == qpsk.labels[1] + qpsk.labels[2]
-    assert len(w.label_bits) == 2 * qpsk.bits_per_symbol
+    # The error events of a transmitted codeword run row-major over the
+    # detected indices (user 2 fastest) and skip the transmitted pair.
+    p, h = qpsk.points, qpsk.hamming
+    events = enumerate_error_events(qpsk, 1, 2)  # (1-1j, -1+1j)
+    detected = [(k1, k2) for k1 in range(4) for k2 in range(4) if (k1, k2) != (1, 2)]
+    assert len(events) == len(detected) == 15
+    assert len(enumerate_error_events(qam16, 0, 0)) == 255
+    assert [(e.u, e.v, e.n_bits) for e in events] == [
+        (p[1] - p[k1], p[2] - p[k2], h[1][k1] + h[2][k2]) for k1, k2 in detected]
+    # detected (0, 0) and (0, 1) first; (1, 1) and (1, 3) either side of the skip
+    assert [(e.u, e.v, e.n_bits) for e in (events[0], events[1], events[5], events[6])] == [
+        (-2j, -2, 2), (-2j, -2 + 2j, 3), (0, -2 + 2j, 2), (0, 2j, 1)]

@@ -6,6 +6,7 @@ directly as numpy arrays. In a draw row a uniform of 0.5 gives an exact 0.0
 normal, so a channel or noise column set to 0.5 is an exact zero.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from noma_uplink import (
     NoiseModel,
     build_constellation,
     detect,
-    enumerate_codewords,
     synthesize,
 )
 from noma_uplink.rng import DRAWS_PER_TRIAL, trial_stream
@@ -29,11 +29,11 @@ def metric_table(r, h, alpha, c):
     """||R - H X(w)||^2 for every trial (rows) and codeword w (columns).
 
     Scored independently of ``detect``: a 2x2 matrix-vector product per trial
-    against the scaled codewords of ``enumerate_codewords``.
+    against the scaled codewords, row-major over the index pairs (i1, i2).
     """
     H = np.stack(h, axis=-1).reshape(-1, 2, 2)
-    X = np.array([[math.sqrt(alpha) * w.x1 for w in enumerate_codewords(c)],
-                  [math.sqrt(1.0 - alpha) * w.x2 for w in enumerate_codewords(c)]])
+    _, _, x1, x2 = scaled_codewords(c, alpha)
+    X = np.array([x1, x2])
     d = np.stack(r, axis=-1)[:, :, None] - H @ X
     return np.sum(np.abs(d) ** 2, axis=1)
 
@@ -80,10 +80,9 @@ def channel(n, h11, h12, h21, h22):
 
 def scaled_codewords(c, alpha):
     """Indices and scaled symbols (sqrt(alpha) x1, sqrt(1-alpha) x2) of every codeword."""
-    cws = enumerate_codewords(c)
-    return (np.array([w.i1 for w in cws]), np.array([w.i2 for w in cws]),
-            np.array([math.sqrt(alpha) * w.x1 for w in cws]),
-            np.array([math.sqrt(1.0 - alpha) * w.x2 for w in cws]))
+    i1, i2 = np.array(list(itertools.product(range(c.M), repeat=2))).T
+    p = np.array(c.points)
+    return i1, i2, math.sqrt(alpha) * p[i1], math.sqrt(1.0 - alpha) * p[i2]
 
 
 def test_ml_zero_noise_recovers_transmitted():

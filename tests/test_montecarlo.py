@@ -42,6 +42,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(alphas=(0.4,))
         with pytest.raises(ValueError):
+            SimConfig(alphas=(0.5, 0.5))
+        with pytest.raises(ValueError):
             SimConfig(ebn0_db_grid=(10.0, 10.0))
         with pytest.raises(ValueError):
             SimConfig(min_bit_errors=0)
