@@ -163,7 +163,7 @@ def _distance_spectrum(kind):
     becomes one row per set bit ``2^k`` of ``m``, with ``scale = 2^k``.
     """
     c = build_constellation(kind)
-    p = np.array(c.points)
+    p = c.point_array
     diff = (p[:, None] - p[None, :]).ravel()        # symbol pair i*M + k: points[i] - points[k]
     abs2 = diff.real * diff.real + diff.imag * diff.imag
     bits = np.array(c.hamming).ravel()

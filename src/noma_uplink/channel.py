@@ -86,7 +86,7 @@ def synthesize(u, c, alpha, n0):
     array with one value per trial.
     """
     alpha = validate_alpha(alpha)
-    points = np.array(c.points)
+    points = c.point_array
     i1 = (u[:, 0] * c.M).astype(np.int64)
     i2 = (u[:, 1] * c.M).astype(np.int64)
     h = _pairs(normals_from_uniforms(u[:, 2:10]) / math.sqrt(2.0))

@@ -22,11 +22,17 @@ one Hamming table ``hamming``: an error event from ``(i1, i2)`` to
 ``(k1, k2)`` has differences ``points[i1] - points[k1]`` and
 ``points[i2] - points[k2]`` and costs ``hamming[i1][k1] + hamming[i2][k2]``
 bits.
+
+The batched layers read two read-only numpy arrays, each built once per
+constellation: ``point_array`` (the points) and ``slicer`` (the per-axis
+nearest-level cells that the ML detector slices user 2 with).
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 # kind -> (per-axis Gray map: axis label -> amplitude level, scale)
 _AXES = {
@@ -51,6 +57,34 @@ class Constellation:
         """M x M Hamming distances between bit labels: ``hamming[a][b]``."""
         return tuple(tuple(sum(x != y for x, y in zip(la, lb)) for lb in self.labels)
                      for la in self.labels)
+
+    @cached_property
+    def point_array(self):
+        """``points`` as a read-only complex numpy array."""
+        return _frozen(np.array(self.points))
+
+    @cached_property
+    def slicer(self):
+        """Per-axis nearest-level slicer ``(edges, index)``, derived from ``_AXES``.
+
+        ``edges`` holds -inf, the midpoints between adjacent sorted levels
+        (scaled like ``points``) and +inf: a coordinate ``v`` lies in cell
+        ``k = searchsorted(edges[1:-1], v)``, between ``edges[k]`` and
+        ``edges[k + 1]``. ``index[k]`` is the rank of the k-th lowest level's
+        label in label order, so the point nearest ``re + 1j*im`` is
+        ``points[index[k_re] * len(index) + index[k_im]]``.
+        """
+        levels, scale = _AXES[self.kind]
+        by_level = sorted(levels, key=levels.get)
+        coords = np.array([levels[b] * scale for b in by_level])
+        edges = np.concatenate(([-np.inf], (coords[:-1] + coords[1:]) / 2, [np.inf]))
+        index = np.array([sorted(levels).index(b) for b in by_level])
+        return _frozen(edges), _frozen(index)
+
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
 
 
 def build_constellation(kind):

@@ -120,13 +120,15 @@ def test_ml_output_metric_is_minimal():
 
 @pytest.mark.parametrize("kind,n_cases", [("qpsk", 700), ("qam16", 300)])
 def test_ml_matches_sorting_oracle_random_instances(kind, n_cases):
+    # High Eb/N0 with alpha = 0.99 gives a small s2 and a large slicer input z.
     c = build_constellation(kind)
     u = trial_stream(4711).random((n_cases, DRAWS_PER_TRIAL))
-    n0 = NoiseModel.from_ebn0_db(5.0).n0
-    for k, alpha in enumerate(ALPHAS):
-        _, _, h, r = synthesize(u[k::len(ALPHAS)], c, alpha, n0)
-        j1, j2 = detect("ml", r, h, alpha, c)
-        assert np.array_equal(j1 * c.M + j2, metric_oracle(r, h, alpha, c))
+    for ebn0_db in (5.0, 20.0, 30.0):
+        n0 = NoiseModel.from_ebn0_db(ebn0_db).n0
+        for k, alpha in enumerate(ALPHAS):
+            _, _, h, r = synthesize(u[k::len(ALPHAS)], c, alpha, n0)
+            j1, j2 = detect("ml", r, h, alpha, c)
+            assert np.array_equal(j1 * c.M + j2, metric_oracle(r, h, alpha, c))
 
 
 @pytest.mark.parametrize("kind,n_cases", [("qpsk", 700), ("qam16", 300)])
@@ -193,3 +195,32 @@ def test_ml_tie_breaks_to_lowest_index():
     zero = np.zeros(1, dtype=complex)
     j1, j2 = detect("ml", (zero, zero), channel(1, 0, 0, 0, 0), 0.7, c)
     assert (j1[0], j2[0]) == (0, 0)
+
+
+def test_ml_slicer_midpoint_falls_back_to_full_search():
+    # h11 = 0, h12 = 1, h21 = 1, h22 = 0 and r = (1j*s2, s1*x1): for the sent
+    # x1 the slicer input z = 1j has Re z = 0 exactly, on the QPSK midpoint,
+    # and the user-2 symbols +1+1j (index 0) and -1+1j (index 2) tie. The
+    # slice alone takes cell 0 (level -1, label "1"), which gives index 2;
+    # the M^2 search takes the lower index.
+    c = build_constellation("qpsk")
+    alpha = 0.7
+    i1 = np.arange(c.M)
+    r = (np.full(c.M, 1j * math.sqrt(1.0 - alpha)), math.sqrt(alpha) * c.point_array[i1])
+    h = channel(c.M, 0, 1, 1, 0)
+    j1, j2 = detect("ml", r, h, alpha, c)
+    assert np.array_equal(j1, i1) and not j2.any()
+    assert np.array_equal(metric_oracle(r, h, alpha, c), i1 * c.M)
+
+
+def test_ml_zero_user2_column_falls_back_to_full_search():
+    # A zero (h12, h22) column makes z = 0/0, so the slicer margin is not
+    # finite. Every x2 then ties, and the M^2 search keeps index 0.
+    c = build_constellation("qam16")
+    u = trial_stream(12).random((200, DRAWS_PER_TRIAL))
+    u[:, [4, 5, 8, 9]] = 0.5
+    _, _, h, r = synthesize(u, c, 0.7, NoiseModel.from_ebn0_db(10.0).n0)
+    assert not h[1].any() and not h[3].any()
+    j1, j2 = detect("ml", r, h, 0.7, c)
+    assert not j2.any()
+    assert np.array_equal(j1 * c.M + j2, metric_oracle(r, h, 0.7, c))
