@@ -52,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import validate_alpha
+from .channel import validate_alpha, validate_n0
 from .constellation import build_constellation
 
 
@@ -89,8 +89,7 @@ def _pep(d2, n0):
 
 def pep_bound(d2, n0):
     """Upper bound on the pairwise error probability at squared distance d2."""
-    if not 0.0 < n0 < math.inf:
-        raise ValueError(f"n0 must satisfy 0 < n0 < inf, got {n0}")
+    validate_n0(n0)
     if not d2 >= 0:
         raise ValueError(f"squared distance must be nonnegative, got {d2}")
     return _pep(d2, n0)
@@ -194,34 +193,19 @@ def union_bound_value(c, alpha, n0):
     rounds it once, the same way.
     """
     alpha = validate_alpha(alpha)
-    if not 0.0 < n0 < math.inf:
-        raise ValueError(f"n0 must satisfy 0 < n0 < inf, got {n0}")
+    validate_n0(n0)
     abs_u2, abs_v2, n_bits, scale = _distance_spectrum(c.kind)
     d2 = alpha * abs_u2 + (1.0 - alpha) * abs_v2
     weighted = n_bits * _pep(d2, n0)
     return math.fsum((scale * weighted).tolist()) / (c.M**2 * 2 * c.bits_per_symbol)
 
 
-# The 15 QPSK error events for transmitted codeword (1+1j, 1+1j), in the
-# conventional presentation order: single-axis single-user errors first,
-# then equal-magnitude pairs, then diagonal differences.
-_QPSK_TABLE_DIFFS = (
-    (2 + 0j, 0j),
-    (0j, 2 + 0j),
-    (2j, 0j),
-    (0j, 2j),
-    (2 + 0j, 2 + 0j),
-    (2 + 0j, 2j),
-    (2j, 2 + 0j),
-    (2j, 2j),
-    (2 + 2j, 0j),
-    (0j, 2 + 2j),
-    (2 + 2j, 2 + 0j),
-    (2 + 0j, 2 + 2j),
-    (2 + 2j, 2j),
-    (2j, 2 + 2j),
-    (2 + 2j, 2 + 2j),
-)
+# The 15 QPSK error events for transmitted codeword (0, 0) = (1+1j, 1+1j),
+# as detected index pairs (k1, k2) in the conventional presentation order:
+# single-axis single-user errors first, then equal-magnitude pairs, then
+# diagonal differences.
+_QPSK_TABLE_EVENTS = ((2, 0), (0, 2), (1, 0), (0, 1), (2, 2), (2, 1), (1, 2), (1, 1),
+                      (3, 0), (0, 3), (3, 2), (2, 3), (3, 1), (1, 3), (3, 3))
 
 
 # The error-event table's power splits: balanced, and 90% of the power to user 1.
@@ -235,12 +219,13 @@ def error_event_pep_table(n0=0.01):
     codeword (1+1j, 1+1j); by symmetry the QPSK PEP set is the same for
     every transmitted codeword.
     """
-    n_bits = {(e.u, e.v): e.n_bits  # transmitted (1+1j, 1+1j)
-              for e in enumerate_error_events(build_constellation("qpsk"), 0, 0)}
+    c = build_constellation("qpsk")
+    p, h = c.points, c.hamming
     rows = []
-    for idx, (du, dv) in enumerate(_QPSK_TABLE_DIFFS, start=1):
+    for idx, (k1, k2) in enumerate(_QPSK_TABLE_EVENTS, start=1):
+        du, dv = p[0] - p[k1], p[0] - p[k2]
         d2_lo, d2_hi = (event_norm(du, dv, a) for a in TABLE_ALPHAS)
-        rows.append(PepTableRow(f"E{idx}", du, dv, n_bits[(du, dv)], d2_lo, d2_hi,
+        rows.append(PepTableRow(f"E{idx}", du, dv, h[0][k1] + h[0][k2], d2_lo, d2_hi,
                                 pep_bound(d2_lo, n0), pep_bound(d2_hi, n0)))
     return rows
 

@@ -22,6 +22,12 @@ All sampling consumes uniforms in a fixed order (one uniform per normal
 variate, via the inverse CDF), which is what makes the sliced Monte Carlo
 harness reproducible; see ``rng``. ``synthesize`` is the one signal model:
 it turns a batch of trials into sent indices, channels and received vectors.
+
+Each input rule is checked in one place, here, and every entry point (the
+CLI, ``SimConfig``, ``BerCurve``, ``bounds``) calls it: ``validate_alpha``
+for one alpha, ``validate_alphas`` for an alpha list (no repeats),
+``validate_n0`` for the noise parameter, ``NoiseModel`` for one operating
+point and ``validate_ebn0_grid`` for an Eb/N0 grid (strictly increasing).
 """
 
 import math
@@ -40,21 +46,36 @@ def validate_alpha(alpha):
     return a
 
 
+def validate_alphas(values):
+    """Check an alpha list: each value valid, none repeated; return the floats."""
+    alphas = tuple(validate_alpha(a) for a in values)
+    if len(set(alphas)) != len(alphas):
+        raise ValueError("alphas must not repeat")
+    return alphas
+
+
+def validate_n0(n0):
+    """Check the noise parameter satisfies 0 < n0 < inf; return it."""
+    if not 0.0 < n0 < math.inf:
+        raise ValueError(f"n0 must satisfy 0 < n0 < inf, got {n0}")
+    return n0
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Operating point: Eb/N0 in dB and the matching noise parameter n0.
 
     Both must be finite and n0 positive; this is the one check of an
-    operating point, shared by ``SimConfig`` and the CLI.
+    operating point.
     """
 
     ebn0_db: float
     n0: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.ebn0_db) and 0.0 < self.n0 < math.inf):
-            raise ValueError(f"Eb/N0 must be finite with 0 < n0 < inf,"
-                             f" got ebn0_db={self.ebn0_db}, n0={self.n0}")
+        if not math.isfinite(self.ebn0_db):
+            raise ValueError(f"Eb/N0 must be finite, got {self.ebn0_db} dB")
+        validate_n0(self.n0)
 
     @classmethod
     def from_ebn0_db(cls, ebn0_db):
@@ -66,8 +87,16 @@ class NoiseModel:
 
     @classmethod
     def from_n0(cls, n0):
-        n0 = float(n0)
-        return cls(-10.0 * math.log10(n0) if n0 > 0 else math.nan, n0)
+        n0 = validate_n0(float(n0))
+        return cls(-10.0 * math.log10(n0), n0)
+
+
+def validate_ebn0_grid(values):
+    """Check an Eb/N0 grid: valid operating points, strictly increasing; return the floats."""
+    grid = tuple(NoiseModel.from_ebn0_db(s).ebn0_db for s in values)
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("ebn0_db_grid must be strictly increasing")
+    return grid
 
 
 def _pairs(g):

@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .bounds import TABLE_ALPHAS, error_event_pep_table, union_bound_value
 from .constellation import KINDS, build_constellation
-from .channel import NoiseModel, validate_alpha
+from .channel import NoiseModel, validate_alpha, validate_alphas, validate_ebn0_grid
 from .detectors import DETECTORS
 from .montecarlo import (
     DEFAULT_SEED,
@@ -102,20 +102,11 @@ def _parse_grid(text):
             raise argparse.ArgumentTypeError(f"bad grid value in {text!r}")
     if not values:
         raise argparse.ArgumentTypeError(f"empty grid: {text!r}")
-    if len(set(values)) != len(values):
-        raise argparse.ArgumentTypeError(f"repeated grid value in {text!r}")
     return values
 
 
-def _alpha_grid(text):
-    return [_alpha_value(v) for v in _parse_grid(text)]
-
-
-def _ebn0_grid(text):
-    values = [_noise_from_ebn0_db(v).ebn0_db for v in _parse_grid(text)]
-    if values != sorted(values):
-        raise argparse.ArgumentTypeError(f"Eb/N0 grid must be strictly increasing, got {text!r}")
-    return values
+_alpha_grid = _arg_type(lambda text: validate_alphas(_parse_grid(text)))
+_ebn0_grid = _arg_type(lambda text: validate_ebn0_grid(_parse_grid(text)))
 
 
 def _write_manifest(fh, subcommand, params, seed=None):
@@ -199,8 +190,8 @@ def _cmd_ber(args):
     cfg = SimConfig(
         kind=args.constellation,
         detector=args.detector,
-        alphas=tuple(args.alpha_list),
-        ebn0_db_grid=tuple(args.snr_grid_db),
+        alphas=args.alpha_list,
+        ebn0_db_grid=args.snr_grid_db,
         seed=args.seed,
         min_bit_errors=args.min_errors,
         max_codewords=args.max_codewords,

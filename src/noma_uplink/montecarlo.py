@@ -30,7 +30,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import NoiseModel, synthesize, validate_alpha
+from .channel import NoiseModel, synthesize, validate_alpha, validate_alphas, validate_ebn0_grid
 from .constellation import KINDS, build_constellation
 from .detectors import DETECTORS, detect
 from .rng import DRAWS_PER_TRIAL, point_stream_key, trial_stream
@@ -58,15 +58,9 @@ class SimConfig:
             raise ValueError(f"unknown constellation kind {self.kind!r}")
         if self.detector not in DETECTORS:
             raise ValueError(f"unknown detector {self.detector!r}")
-        for a in self.alphas:
-            validate_alpha(a)
-        if len(set(self.alphas)) != len(self.alphas):
-            raise ValueError("alphas must not repeat")
-        grid = tuple(self.ebn0_db_grid)
-        for s in grid:
-            NoiseModel.from_ebn0_db(s)
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("ebn0_db_grid must be strictly increasing")
+        # store the checked floats, so sweeps and manifests read what was validated
+        object.__setattr__(self, "alphas", validate_alphas(self.alphas))
+        object.__setattr__(self, "ebn0_db_grid", validate_ebn0_grid(self.ebn0_db_grid))
         if self.min_bit_errors < 1:
             raise ValueError("min_bit_errors must be at least 1")
         if self.max_codewords < 1 or self.workers < 1:
@@ -94,9 +88,7 @@ class BerCurve:
     points: tuple
 
     def __post_init__(self):
-        grid = [p.ebn0_db for p in self.points]
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("BerCurve points must be strictly increasing in ebn0_db")
+        validate_ebn0_grid(p.ebn0_db for p in self.points)
 
 
 def run_ber_point(cfg, alpha, ebn0_db):

@@ -49,7 +49,10 @@ def test_traced_boundary_is_public_callable(home, name):
 
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS.MONTE_CARLO))
 def test_monte_carlo_workload_is_valid_config(workload):
-    SimConfig(**_WORKLOADS.MONTE_CARLO[workload], seed=_WORKLOADS.PINNED_SEED)
+    fields = _WORKLOADS.MONTE_CARLO[workload]
+    cfg = SimConfig(**fields, seed=_WORKLOADS.PINNED_SEED)
+    # SimConfig stores its validated floats; the workloads' inputs are unchanged by that
+    assert cfg.alphas == fields["alphas"] and cfg.ebn0_db_grid == fields["ebn0_db_grid"]
 
 
 def test_child_uses_only_package_attributes():

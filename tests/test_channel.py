@@ -19,6 +19,7 @@ from noma_uplink import (
     synthesize,
     validate_alpha,
 )
+from noma_uplink.channel import validate_n0
 from noma_uplink.detectors import DETECTORS
 from noma_uplink.rng import DRAWS_PER_TRIAL, normals_from_uniforms, trial_stream
 
@@ -70,6 +71,9 @@ def test_noise_model_snr_mapping():
     assert NoiseModel.from_n0(0.01).ebn0_db == pytest.approx(20.0, abs=1e-12)
     with pytest.raises(ValueError):
         NoiseModel.from_n0(0.0)
+    assert validate_n0(0.01) == 0.01
+    with pytest.raises(ValueError):
+        validate_n0(0.0)
 
 
 @pytest.mark.parametrize("ebn0_db", [math.nan, math.inf, -math.inf, 5000.0, -5000.0])
@@ -83,6 +87,8 @@ def test_noise_model_rejects_non_finite_ebn0(ebn0_db):
 def test_noise_model_rejects_non_finite_n0(n0):
     with pytest.raises(ValueError):
         NoiseModel.from_n0(n0)
+    with pytest.raises(ValueError):
+        validate_n0(n0)
 
 
 def test_scale_codeword_balanced():

@@ -52,6 +52,15 @@ class TestConfigValidation:
                 SimConfig(**{field: 0})
         with pytest.raises(ValueError):
             SimConfig(ebn0_db_grid=(10.0, float("nan")))
+        # the order and repeat rules apply to the parsed floats, not the raw values
+        with pytest.raises(ValueError):
+            SimConfig(ebn0_db_grid=("10", "9"))
+        with pytest.raises(ValueError):
+            SimConfig(alphas=(0.5, "0.5"))
+        # a valid config keeps the floats it checked
+        cfg = SimConfig(alphas=[0.9, "0.5"], ebn0_db_grid=("9", "10"))
+        assert cfg.alphas == (0.9, 0.5) and cfg.ebn0_db_grid == (9.0, 10.0)
+        assert all(type(v) is float for v in cfg.alphas + cfg.ebn0_db_grid)
 
 
 class TestVectorizedMatchesScalarPath:
