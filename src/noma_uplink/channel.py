@@ -27,10 +27,12 @@ Each input rule is checked in one place, here, and every entry point (the
 CLI, ``SimConfig``, ``BerCurve``, ``bounds``) calls it: ``validate_alpha``
 for one alpha, ``validate_alphas`` for an alpha list (no repeats),
 ``validate_n0`` for the noise parameter, ``NoiseModel`` for one operating
-point and ``validate_ebn0_grid`` for an Eb/N0 grid (strictly increasing).
+point, ``validate_ebn0_grid`` for an Eb/N0 grid (strictly increasing) and
+``validate_count`` for a trial, error or worker count (a positive integer).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,13 @@ def validate_alphas(values):
     if len(set(alphas)) != len(alphas):
         raise ValueError("alphas must not repeat")
     return alphas
+
+
+def validate_count(n):
+    """Check a count is a positive integer, not a bool; return it as int."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"count must be a positive integer, got {n!r}")
+    return int(n)
 
 
 def validate_n0(n0):

@@ -14,8 +14,10 @@ the same command reproduces the file bit-exactly except for the timestamp
 line. Floats are serialized with 17 significant digits so replays are
 comparable. Exit codes: 0 success, 2 usage error, 3 runtime/config error.
 
-The default Monte Carlo seed can be overridden with the environment
-variable ``NOMA_UPLINK_SEED``.
+The CLI parses arguments and formats output; the library decides: the sweep
+order and ``ber`` defaults in ``montecarlo``, the alpha argmin in ``bounds``
+and every input check in ``channel``. The default Monte Carlo seed can be
+overridden with the environment variable ``NOMA_UPLINK_SEED``.
 """
 
 import argparse
@@ -26,19 +28,17 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .bounds import TABLE_ALPHAS, error_event_pep_table, union_bound_value
+from .bounds import TABLE_ALPHAS, error_event_pep_table, optimal_alpha, union_bound_value
 from .constellation import KINDS, build_constellation
-from .channel import NoiseModel, validate_alpha, validate_alphas, validate_ebn0_grid
+from .channel import (NoiseModel, validate_alpha, validate_alphas, validate_count,
+                      validate_ebn0_grid)
 from .detectors import DETECTORS
-from .montecarlo import (
-    DEFAULT_SEED,
-    SimConfig,
-    crossing_from_pairs,
-    run_ber_point,
-)
+from .montecarlo import SimConfig, crossing_from_pairs, sweep_points
 from .rng import RNG_ALGORITHM
 
 _SCHEMA_PREFIX = "noma-uplink"
+_BER_COLUMNS = ("alpha", "ebn0_db", "ber", "ci95_halfwidth", "bit_errors",
+                "bits_simulated", "codewords_used", "stream_key", "status")
 
 
 def _f17(x):
@@ -63,6 +63,7 @@ def _arg_type(convert):
 _alpha_value = _arg_type(validate_alpha)
 _noise_from_ebn0_db = _arg_type(NoiseModel.from_ebn0_db)
 _noise_from_n0 = _arg_type(NoiseModel.from_n0)
+_count = _arg_type(lambda text: validate_count(int(text)))
 
 
 def _target_ber(text):
@@ -70,16 +71,6 @@ def _target_ber(text):
     if not 0.0 < ber < 1.0:
         raise argparse.ArgumentTypeError(f"target BER must lie in (0, 1), got {text}")
     return ber
-
-
-def _positive_int(text):
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
-    return n
 
 
 def _parse_grid(text):
@@ -177,8 +168,8 @@ def _cmd_bound(args):
             values = [union_bound_value(c, a, n0) for a in args.alpha_grid]
             for a, b in zip(args.alpha_grid, values):
                 writer.writerow([_f17(a), _f17(s), _f17(b)])
-            # the optimal_alpha rule: smallest bound, ties to the smaller alpha
-            b, a = min(zip(values, args.alpha_grid))
+            a = optimal_alpha(c, n0, args.alpha_grid)
+            b = values[args.alpha_grid.index(a)]
             argmins.append((s, a, b))
             fh.write(f"# argmin ebn0_db={_f17(s)} alpha={_f17(a)} abep_bound={_f17(b)}\n")
     for s, a, b in argmins:
@@ -209,20 +200,14 @@ def _cmd_ber(args):
     with open(args.out, "w", newline="") as fh:
         _write_manifest(fh, "ber", params, seed=cfg.seed)
         writer = csv.writer(fh)
-        writer.writerow(["alpha", "ebn0_db", "ber", "ci95_halfwidth",
-                         "bit_errors", "bits_simulated", "codewords_used",
-                         "stream_key", "status"])
-        for a in cfg.alphas:
-            for s in cfg.ebn0_db_grid:
-                p = run_ber_point(cfg, a, s)
-                writer.writerow([_f17(p.alpha), _f17(p.ebn0_db), _f17(p.ber),
-                                 _f17(p.ci95_halfwidth), p.bit_errors,
-                                 p.bits_simulated, p.codewords_used,
-                                 p.stream_key, p.status])
-                fh.flush()
-                n_points += 1
-                print(f"alpha={a:g} Eb/N0={s:g} dB: ber={p.ber:.3e} "
-                      f"({p.bit_errors} errors / {p.codewords_used} codewords, {p.status})")
+        writer.writerow(_BER_COLUMNS)
+        for p in sweep_points(cfg):
+            values = (getattr(p, name) for name in _BER_COLUMNS)
+            writer.writerow([_f17(v) if isinstance(v, float) else v for v in values])
+            fh.flush()
+            n_points += 1
+            print(f"alpha={p.alpha:g} Eb/N0={p.ebn0_db:g} dB: ber={p.ber:.3e} "
+                  f"({p.bit_errors} errors / {p.codewords_used} codewords, {p.status})")
     print(f"wrote {n_points} points to {args.out}")
     return 0
 
@@ -251,10 +236,13 @@ def read_ber_csv(path):
         if None in rec.values() or None in rec:
             raise ValueError(f"{path}: ber CSV has a row whose length differs from the header")
         try:
+            ber = float(rec["ber"])
+            if not 0.0 <= ber <= 1.0:
+                raise ValueError(f"ber must lie in [0, 1], got {rec['ber']}")
             rows.append({
-                "alpha": float(rec["alpha"]),
-                "ebn0_db": float(rec["ebn0_db"]),
-                "ber": float(rec["ber"]),
+                "alpha": validate_alpha(rec["alpha"]),
+                "ebn0_db": NoiseModel.from_ebn0_db(rec["ebn0_db"]).ebn0_db,
+                "ber": ber,
                 "status": rec["status"],
             })
         except ValueError as exc:
@@ -317,17 +305,17 @@ def build_parser():
 
     p = sub.add_parser("ber", help="Monte Carlo BER sweep")
     p.add_argument("--constellation", choices=KINDS, required=True)
-    p.add_argument("--detector", choices=DETECTORS, default="ml")
+    p.add_argument("--detector", choices=DETECTORS, default=SimConfig.detector)
     p.add_argument("--alpha-list", type=_alpha_grid, required=True,
                    help="comma list (or start:stop:step), within [0.5, 1)")
     p.add_argument("--snr-grid-db", type=_ebn0_grid, required=True)
     # a string default goes through ``type``, so a bad NOMA_UPLINK_SEED is a
     # usage error of this subcommand only
     p.add_argument("--seed", type=int,
-                   default=os.environ.get("NOMA_UPLINK_SEED", DEFAULT_SEED))
-    p.add_argument("--min-errors", type=_positive_int, default=200)
-    p.add_argument("--max-codewords", type=_positive_int, default=100_000_000)
-    p.add_argument("--workers", type=_positive_int, default=1)
+                   default=os.environ.get("NOMA_UPLINK_SEED", SimConfig.seed))
+    p.add_argument("--min-errors", type=_count, default=SimConfig.min_bit_errors)
+    p.add_argument("--max-codewords", type=_count, default=SimConfig.max_codewords)
+    p.add_argument("--workers", type=_count, default=SimConfig.workers)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ber)
 

@@ -26,11 +26,12 @@ bound witness, not a rate.
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
-from .channel import NoiseModel, synthesize, validate_alpha, validate_alphas, validate_ebn0_grid
+from .channel import (NoiseModel, synthesize, validate_alpha, validate_alphas, validate_count,
+                      validate_ebn0_grid)
 from .constellation import KINDS, build_constellation
 from .detectors import DETECTORS, detect
 from .rng import DRAWS_PER_TRIAL, point_stream_key, trial_stream
@@ -39,8 +40,6 @@ TRIALS_PER_BLOCK = 10_000
 # Trials drawn and detected as one batch; a block is split into such slices.
 SLICE = 2_500
 
-DEFAULT_SEED = 0x6E6F6D61  # "noma"
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -48,7 +47,7 @@ class SimConfig:
     detector: str = "ml"
     alphas: tuple = (0.5,)
     ebn0_db_grid: tuple = (20.0,)
-    seed: int = DEFAULT_SEED
+    seed: int = 0x6E6F6D61  # "noma"
     min_bit_errors: int = 200
     max_codewords: int = 100_000_000
     workers: int = 1
@@ -58,13 +57,11 @@ class SimConfig:
             raise ValueError(f"unknown constellation kind {self.kind!r}")
         if self.detector not in DETECTORS:
             raise ValueError(f"unknown detector {self.detector!r}")
-        # store the checked floats, so sweeps and manifests read what was validated
+        # store the checked values, so sweeps and manifests read what was validated
         object.__setattr__(self, "alphas", validate_alphas(self.alphas))
         object.__setattr__(self, "ebn0_db_grid", validate_ebn0_grid(self.ebn0_db_grid))
-        if self.min_bit_errors < 1:
-            raise ValueError("min_bit_errors must be at least 1")
-        if self.max_codewords < 1 or self.workers < 1:
-            raise ValueError("max_codewords and workers must be positive")
+        for name in ("min_bit_errors", "max_codewords", "workers"):
+            object.__setattr__(self, name, validate_count(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -134,13 +131,18 @@ def run_ber_point(cfg, alpha, ebn0_db):
     )
 
 
+def sweep_points(cfg):
+    """Yield each BerPoint of ``cfg``'s sweep as it finishes, alpha-major then Eb/N0."""
+    for a in cfg.alphas:
+        for s in cfg.ebn0_db_grid:
+            yield run_ber_point(cfg, a, s)
+
+
 def sweep(cfg):
     """One BerCurve per alpha in ``cfg.alphas`` over ``cfg.ebn0_db_grid``."""
-    curves = []
-    for a in cfg.alphas:
-        pts = tuple(run_ber_point(cfg, a, s) for s in cfg.ebn0_db_grid)
-        curves.append(BerCurve(config=cfg, alpha=a, points=pts))
-    return curves
+    points = sweep_points(cfg)
+    n = len(cfg.ebn0_db_grid)
+    return [BerCurve(config=cfg, alpha=a, points=tuple(islice(points, n))) for a in cfg.alphas]
 
 
 def crossing_from_pairs(pairs, target_ber):

@@ -55,6 +55,18 @@ def test_monte_carlo_workload_is_valid_config(workload):
     assert cfg.alphas == fields["alphas"] and cfg.ebn0_db_grid == fields["ebn0_db_grid"]
 
 
+def test_sweep_is_eager():
+    # child.py times ``sweep`` and reads the points after its timer stops, so
+    # a lazy result would time no simulation at all
+    curves = noma_uplink.sweep(SimConfig(alphas=(0.5, 0.9), ebn0_db_grid=(10.0, 20.0),
+                                         max_codewords=1))
+    assert type(curves) is list and len(curves) == 2
+    for curve in curves:
+        assert isinstance(curve, noma_uplink.BerCurve)
+        assert type(curve.points) is tuple and len(curve.points) == 2
+        assert all(isinstance(p, noma_uplink.BerPoint) for p in curve.points)
+
+
 def test_child_uses_only_package_attributes():
     used = set(re.findall(r"\bnu\.(\w+)", (_PERFBENCH / "child.py").read_text()))
     used.discard("__file__")

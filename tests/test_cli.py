@@ -6,8 +6,8 @@ import math
 
 import pytest
 
-from noma_uplink import NoiseModel, build_constellation, optimal_alpha
-from noma_uplink.cli import build_parser, main, read_ber_csv
+from noma_uplink import NoiseModel, SimConfig, build_constellation, optimal_alpha, sweep
+from noma_uplink.cli import _f17, build_parser, main, read_ber_csv
 from noma_uplink.constellation import KINDS
 from noma_uplink.detectors import DETECTORS
 
@@ -43,6 +43,15 @@ def test_choices_are_the_library_lists():
         ("ber", "--constellation"): KINDS,
         ("ber", "--detector"): DETECTORS,
     }
+
+
+def test_ber_defaults_are_simconfig_fields(monkeypatch):
+    monkeypatch.delenv("NOMA_UPLINK_SEED", raising=False)
+    args = build_parser().parse_args(["ber", "--constellation", "qpsk", "--alpha-list", "0.5",
+                                      "--snr-grid-db", "4", "--out", "x.csv"])
+    cfg = SimConfig()
+    assert (args.detector, args.seed, args.min_errors, args.max_codewords, args.workers) == (
+        cfg.detector, cfg.seed, cfg.min_bit_errors, cfg.max_codewords, cfg.workers)
 
 
 class TestConstellationDump:
@@ -322,6 +331,9 @@ class TestDegradation:
         "alpha,ebn0_db,ber,status\n0.5,10,0.01,ok\n0.5,20\n",  # short row
         "alpha,ebn0_db,ber,status\n0.5,10,0.01,ok\n0.5,20,0.001,ok,7\n",  # long row
         "alpha,ebn0_db,ber,status\n0.5,10,abc,ok\n",  # non-numeric cell
+        "alpha,ebn0_db,ber,status\n0.5,10,0.01,ok\n1.5,10,0.01,ok\n",  # alpha out of range
+        "alpha,ebn0_db,ber,status\n0.5,10,inf,ok\n",  # ber outside [0, 1]
+        "alpha,ebn0_db,ber,status\n0.5,nan,0.01,ok\n",  # non-finite Eb/N0
     ])
     def test_malformed_ber_csv_is_runtime_error(self, tmp_path, capsys, body):
         path = tmp_path / "ber.csv"
@@ -348,6 +360,24 @@ class TestRoundTrip:
                         "--reference-alpha", "0.5", "--target-ber", "0.05"]) == 0
         report = capsys.readouterr().out
         assert "0.5" in report and "0.9" in report
+
+    def test_ber_rows_are_the_sweep_points(self, tmp_path):
+        out = tmp_path / "ber.csv"
+        assert run_cli(["ber", "--constellation", "qpsk", "--alpha-list", "0.9,0.5",
+                        "--snr-grid-db", "4,8", "--min-errors", "20",
+                        "--max-codewords", "20000", "--seed", "5", "--out", str(out)]) == 0
+        cfg = SimConfig(kind="qpsk", alphas=(0.9, 0.5), ebn0_db_grid=(4, 8),
+                        min_bit_errors=20, max_codewords=20_000, seed=5)
+        points = [p for curve in sweep(cfg) for p in curve.points]
+        rows = data_rows(out)
+        assert list(rows[0]) == ["alpha", "ebn0_db", "ber", "ci95_halfwidth", "bit_errors",
+                                 "bits_simulated", "codewords_used", "stream_key", "status"]
+        assert rows == [{
+            "alpha": _f17(p.alpha), "ebn0_db": _f17(p.ebn0_db), "ber": _f17(p.ber),
+            "ci95_halfwidth": _f17(p.ci95_halfwidth), "bit_errors": str(p.bit_errors),
+            "bits_simulated": str(p.bits_simulated), "codewords_used": str(p.codewords_used),
+            "stream_key": str(p.stream_key), "status": p.status,
+        } for p in points]
 
     def test_manifest_contents(self, tmp_path):
         out = tmp_path / "ber.csv"

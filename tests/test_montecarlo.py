@@ -21,7 +21,7 @@ from noma_uplink import (
     trial_stream,
     union_bound_value,
 )
-from noma_uplink.montecarlo import BerCurve, BerPoint, TRIALS_PER_BLOCK
+from noma_uplink.montecarlo import BerCurve, BerPoint, TRIALS_PER_BLOCK, sweep_points
 from noma_uplink.rng import DRAWS_PER_TRIAL, normals_from_uniforms
 from test_detectors import metric_oracle, sic_oracle
 
@@ -50,6 +50,13 @@ class TestConfigValidation:
         for field in ("max_codewords", "workers"):
             with pytest.raises(ValueError):
                 SimConfig(**{field: 0})
+        # a count is a positive integer: no float, however whole, and no bool
+        for field, value in (("max_codewords", 1e4), ("workers", 1.5), ("workers", True),
+                             ("min_bit_errors", 2.5)):
+            with pytest.raises(ValueError):
+                SimConfig(**{field: value})
+        workers = SimConfig(workers=np.int64(2)).workers
+        assert workers == 2 and type(workers) is int
         with pytest.raises(ValueError):
             SimConfig(ebn0_db_grid=(10.0, float("nan")))
         # the order and repeat rules apply to the parsed floats, not the raw values
@@ -199,6 +206,11 @@ class TestSweep:
         assert [c.alpha for c in curves] == [0.5, 0.9]
         for c in curves:
             assert [p.ebn0_db for p in c.points] == [0.0, 5.0, 10.0]
+
+    def test_sweep_points_are_the_curves_in_order(self):
+        cfg = small_cfg(alphas=(0.9, 0.5), ebn0_db_grid=(4.0, 8.0),
+                        min_bit_errors=20, max_codewords=10_000)
+        assert list(sweep_points(cfg)) == [p for c in sweep(cfg) for p in c.points]
 
     def test_ber_decreases_with_snr(self):
         cfg = small_cfg(alphas=(0.5,), ebn0_db_grid=(0.0, 6.0, 12.0))
