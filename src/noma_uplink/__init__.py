@@ -9,9 +9,6 @@ probability, and a reproducible Monte Carlo BER harness.
 
 from .bounds import (
     TABLE_ALPHAS,
-    ErrorEvent,
-    PepTableRow,
-    enumerate_error_events,
     error_event_pep_table,
     event_norm,
     optimal_alpha,
@@ -27,12 +24,10 @@ from .montecarlo import (
     BerCurve,
     BerPoint,
     SimConfig,
-    crossing_ebn0_db,
-    crossing_from_pairs,
     run_ber_point,
     snr_degradation,
     sweep,
 )
-from .rng import RNG_ALGORITHM, derive_key, point_stream_key, trial_stream
+from .rng import RNG_ALGORITHM, point_stream_key, trial_stream
 
 __version__ = "0.1.0"

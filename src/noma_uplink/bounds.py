@@ -1,4 +1,4 @@
-"""Error-event enumeration, PEP upper bounds, and union bounds on the ABEP.
+"""PEP upper bounds, the union bound on the ABEP, and why alpha = 1/2 minimizes it.
 
 Codewords are pairs of symbol indices; every quantity here is computed
 from indices, ``Constellation.points`` and ``Constellation.hamming``. For
@@ -36,6 +36,18 @@ triple with its multiplicity (168 classes for 16QAM instead of 65,280
 events). Classes are grouped on the exact floating-point values, so every
 class member has the same rounded term.
 
+The symmetry argument: swapping the users maps the event ``(i1, i2) ->
+(k1, k2)`` to ``(i2, i1) -> (k2, k1)``, which turns ``(u, v)`` into
+``(v, u)`` with the same ``n_bits``, so the distance spectrum is its own
+user swap. The two norms of a swapped pair, ``event_norm(u, v, alpha)`` and
+``event_norm(v, u, alpha)``, always sum to ``|u|^2 + |v|^2``; for alpha >
+1/2 they sit ``(alpha - 1/2)(|u|^2 - |v|^2)`` above and below their common
+balanced norm (``symmetry_gaps``). The kernel is strictly convex in ``d2``,
+so when ``|u| != |v|`` the pair's PEP sum exceeds twice the balanced PEP
+(``pairwise_sum_excess > 0``) and grows strictly as the gap widens. Summed
+over the pairs, the union bound rises strictly with alpha on [1/2, 1) and
+is smallest at alpha = 1/2, the power-balanced case.
+
 Because the summed PEPs span many orders of magnitude, every bound total is
 accumulated with ``math.fsum`` (exactly rounded, partition-independent).
 
@@ -54,15 +66,6 @@ import numpy as np
 
 from .channel import validate_alpha, validate_n0
 from .constellation import build_constellation
-
-
-@dataclass(frozen=True)
-class ErrorEvent:
-    """A nonzero difference pair with its bit count."""
-
-    u: complex
-    v: complex
-    n_bits: int
 
 
 @dataclass(frozen=True)
@@ -139,20 +142,6 @@ def pairwise_sum_excess(u, v, alpha, n0):
     return pep_bound(d2_a, n0) + pep_bound(d2_b, n0) - 2.0 * pep_bound(d2_balanced, n0)
 
 
-def enumerate_error_events(c, i1, i2):
-    """All M^2 - 1 error events for the transmitted codeword ``(i1, i2)``.
-
-    Row-major over the detected indices ``(k1, k2)`` (user 2 fastest), with
-    the transmitted pair skipped. This is the scalar reference that the
-    distance spectrum of ``union_bound_value`` condenses.
-    """
-    if not (0 <= i1 < c.M and 0 <= i2 < c.M):
-        raise IndexError(f"symbol index out of range for M={c.M}: ({i1}, {i2})")
-    p, h = c.points, c.hamming
-    return [ErrorEvent(p[i1] - p[k1], p[i2] - p[k2], h[i1][k1] + h[i2][k2])
-            for k1 in range(c.M) for k2 in range(c.M) if (k1, k2) != (i1, i2)]
-
-
 @lru_cache(maxsize=4)
 def _distance_spectrum(kind):
     """Union-bound terms ``(|u|^2, |v|^2, n_bits, scale)`` of one constellation.
@@ -190,7 +179,8 @@ def union_bound_value(c, alpha, n0):
     Multiplying by ``2^k`` only changes the exponent, so it is exact unless
     it overflows, which ``t <= n_bits`` and ``2^k <= m`` rule out. ``fsum``
     therefore sees the same exact total as from the ``m`` separate terms and
-    rounds it once, the same way.
+    rounds it once, the same way. ``tests/test_bounds.py`` checks this
+    against its scalar per-event reference.
     """
     alpha = validate_alpha(alpha)
     validate_n0(n0)

@@ -25,10 +25,12 @@ it turns a batch of trials into sent indices, channels and received vectors.
 
 Each input rule is checked in one place, here, and every entry point (the
 CLI, ``SimConfig``, ``BerCurve``, ``bounds``) calls it: ``validate_alpha``
-for one alpha, ``validate_alphas`` for an alpha list (no repeats),
-``validate_n0`` for the noise parameter, ``NoiseModel`` for one operating
-point, ``validate_ebn0_grid`` for an Eb/N0 grid (strictly increasing) and
-``validate_count`` for a trial, error or worker count (a positive integer).
+for one alpha, ``validate_alphas`` for an alpha list (not empty, no
+repeats), ``validate_n0`` for the noise parameter, ``NoiseModel`` for one
+operating point, ``validate_ebn0_grid`` for an Eb/N0 grid (not empty,
+strictly increasing), ``validate_count`` for a trial, error or worker count
+(a positive integer) and ``validate_seed`` for a master seed (an integer in
+[0, 2**64)).
 """
 
 import math
@@ -49,8 +51,10 @@ def validate_alpha(alpha):
 
 
 def validate_alphas(values):
-    """Check an alpha list: each value valid, none repeated; return the floats."""
+    """Check an alpha list: not empty, each value valid, none repeated; return the floats."""
     alphas = tuple(validate_alpha(a) for a in values)
+    if not alphas:
+        raise ValueError("alphas must not be empty")
     if len(set(alphas)) != len(alphas):
         raise ValueError("alphas must not repeat")
     return alphas
@@ -61,6 +65,13 @@ def validate_count(n):
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"count must be a positive integer, got {n!r}")
     return int(n)
+
+
+def validate_seed(seed):
+    """Check a master seed is an integer in [0, 2**64), not a bool; return it as int."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
 
 
 def validate_n0(n0):
@@ -101,8 +112,10 @@ class NoiseModel:
 
 
 def validate_ebn0_grid(values):
-    """Check an Eb/N0 grid: valid operating points, strictly increasing; return the floats."""
+    """Check an Eb/N0 grid: not empty, valid points, strictly increasing; return the floats."""
     grid = tuple(NoiseModel.from_ebn0_db(s).ebn0_db for s in values)
+    if not grid:
+        raise ValueError("ebn0_db_grid must not be empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("ebn0_db_grid must be strictly increasing")
     return grid

@@ -31,7 +31,7 @@ from . import __version__
 from .bounds import TABLE_ALPHAS, error_event_pep_table, optimal_alpha, union_bound_value
 from .constellation import KINDS, build_constellation
 from .channel import (NoiseModel, validate_alpha, validate_alphas, validate_count,
-                      validate_ebn0_grid)
+                      validate_ebn0_grid, validate_seed)
 from .detectors import DETECTORS
 from .montecarlo import SimConfig, crossing_from_pairs, sweep_points
 from .rng import RNG_ALGORITHM
@@ -64,6 +64,7 @@ _alpha_value = _arg_type(validate_alpha)
 _noise_from_ebn0_db = _arg_type(NoiseModel.from_ebn0_db)
 _noise_from_n0 = _arg_type(NoiseModel.from_n0)
 _count = _arg_type(lambda text: validate_count(int(text)))
+_seed = _arg_type(lambda text: validate_seed(int(text)))
 
 
 def _target_ber(text):
@@ -91,8 +92,6 @@ def _parse_grid(text):
             values = [float(p) for p in text.split(",") if p.strip()]
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad grid value in {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError(f"empty grid: {text!r}")
     return values
 
 
@@ -311,7 +310,7 @@ def build_parser():
     p.add_argument("--snr-grid-db", type=_ebn0_grid, required=True)
     # a string default goes through ``type``, so a bad NOMA_UPLINK_SEED is a
     # usage error of this subcommand only
-    p.add_argument("--seed", type=int,
+    p.add_argument("--seed", type=_seed,
                    default=os.environ.get("NOMA_UPLINK_SEED", SimConfig.seed))
     p.add_argument("--min-errors", type=_count, default=SimConfig.min_bit_errors)
     p.add_argument("--max-codewords", type=_count, default=SimConfig.max_codewords)

@@ -31,7 +31,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from .channel import (NoiseModel, synthesize, validate_alpha, validate_alphas, validate_count,
-                      validate_ebn0_grid)
+                      validate_ebn0_grid, validate_seed)
 from .constellation import KINDS, build_constellation
 from .detectors import DETECTORS, detect
 from .rng import DRAWS_PER_TRIAL, point_stream_key, trial_stream
@@ -60,6 +60,7 @@ class SimConfig:
         # store the checked values, so sweeps and manifests read what was validated
         object.__setattr__(self, "alphas", validate_alphas(self.alphas))
         object.__setattr__(self, "ebn0_db_grid", validate_ebn0_grid(self.ebn0_db_grid))
+        object.__setattr__(self, "seed", validate_seed(self.seed))
         for name in ("min_bit_errors", "max_codewords", "workers"):
             object.__setattr__(self, name, validate_count(getattr(self, name)))
 
@@ -162,17 +163,19 @@ def crossing_from_pairs(pairs, target_ber):
     return None
 
 
-def crossing_ebn0_db(curve, target_ber):
-    """Eb/N0 at which the curve crosses ``target_ber`` (see crossing_from_pairs)."""
-    got = crossing_from_pairs(((p.ebn0_db, p.ber) for p in curve.points), target_ber)
-    if got is None:
-        raise ValueError(
-            f"insufficient curve range: BER {target_ber:g} not bracketed"
-            f" for alpha={curve.alpha}"
-        )
-    return got
-
-
 def snr_degradation(reference, test, target_ber=1e-3):
-    """Extra Eb/N0 (dB) the test curve needs to reach ``target_ber``."""
-    return crossing_ebn0_db(test, target_ber) - crossing_ebn0_db(reference, target_ber)
+    """Extra Eb/N0 (dB) the test curve needs to reach ``target_ber``.
+
+    Each curve's crossing is ``crossing_from_pairs`` on its (ebn0_db, ber)
+    points; a target that either curve does not bracket is a ValueError.
+    """
+    def crossing(curve):
+        got = crossing_from_pairs(((p.ebn0_db, p.ber) for p in curve.points), target_ber)
+        if got is None:
+            raise ValueError(
+                f"insufficient curve range: BER {target_ber:g} not bracketed"
+                f" for alpha={curve.alpha}"
+            )
+        return got
+
+    return crossing(test) - crossing(reference)

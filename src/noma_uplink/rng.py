@@ -44,24 +44,17 @@ def _float_bits(x):
     return struct.unpack("<Q", struct.pack("<d", float(x)))[0]
 
 
-def derive_key(master_seed, *fields):
-    """Mix a master seed and any number of 64-bit fields into a stream key.
-
-    Chained splitmix64: k = sm64(seed); k = sm64(k ^ field) for each field.
-    """
-    key = _splitmix64(int(master_seed) & _MASK64)
-    for field in fields:
-        key = _splitmix64(key ^ (int(field) & _MASK64))
-    return key
-
-
 def point_stream_key(master_seed, alpha, ebn0_db):
     """Stream key for one (alpha, Eb/N0) simulation point.
 
     Keyed on the IEEE bit patterns of the parameter values so the stream is
-    a pure function of (seed, alpha, ebn0_db).
+    a pure function of (seed, alpha, ebn0_db). Chained splitmix64:
+    k = sm64(seed); k = sm64(k ^ field) for each field.
     """
-    return derive_key(master_seed, 0x4245_5250, _float_bits(alpha), _float_bits(ebn0_db))
+    key = _splitmix64(int(master_seed) & _MASK64)
+    for field in (0x4245_5250, _float_bits(alpha), _float_bits(ebn0_db)):
+        key = _splitmix64(key ^ field)
+    return key
 
 
 def trial_stream(key, first_trial=0):

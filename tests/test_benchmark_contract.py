@@ -7,8 +7,9 @@ its Monte Carlo workloads to ``SimConfig`` as keyword fields, so removing or
 renaming a field would break the benchmark. ``perfbench/child.py`` calls the
 package as ``nu.<name>``, so every such name must stay a package attribute.
 The names the scripts under ``demos/`` import from the package are checked
-here too. The two bound-only demos take about half a second each and are run
-end to end; the two Monte Carlo demos take about a minute each and are not.
+here too, and the package's public names are pinned. The two bound-only
+demos take about half a second each and are run end to end; the two Monte
+Carlo demos take about a minute each and are not.
 """
 
 import ast
@@ -18,6 +19,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -82,6 +84,20 @@ def test_demo_imports_are_package_attributes(demo):
              for alias in node.names]
     assert names, f"{demo} no longer imports from noma_uplink"
     assert sorted(n for n in names if not hasattr(noma_uplink, n)) == []
+
+
+def test_public_names_are_pinned():
+    # An export added or removed shows up here as a one-line diff. Callers
+    # import everything else from its module (``noma_uplink.montecarlo``...).
+    public = sorted(name for name, value in vars(noma_uplink).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert public == [
+        "BerCurve", "BerPoint", "Constellation", "NoiseModel", "RNG_ALGORITHM", "SimConfig",
+        "TABLE_ALPHAS", "build_constellation", "detect", "error_event_pep_table", "event_norm",
+        "optimal_alpha", "pairwise_sum_excess", "pep_bound", "point_stream_key",
+        "run_ber_point", "snr_degradation", "sweep", "symmetry_gaps", "synthesize",
+        "trial_stream", "union_bound_value", "validate_alpha",
+    ]
 
 
 @pytest.mark.parametrize("demo,line", [

@@ -1,5 +1,9 @@
 """PEP bound, error-event enumeration, union bound, and the symmetry analysis.
 
+``enumerate_error_events`` is the scalar, one-event-at-a-time reference for
+the distance spectrum that ``union_bound_value`` evaluates; it lives here,
+not in the package, because only the tests run it.
+
 Frozen expected values were computed independently: the bound kernel
 (1/(1 + d2/(4 n0)))^2 evaluated by hand for the tabulated squared distances
 (e.g. d2 = 2, n0 = 0.01 gives 1/51^2 = 3.8447e-4), and the per-event bit
@@ -8,6 +12,7 @@ counts enumerated from the fixed Gray map.
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,7 +22,6 @@ from hypothesis import strategies as st
 from noma_uplink import (
     TABLE_ALPHAS,
     build_constellation,
-    enumerate_error_events,
     error_event_pep_table,
     event_norm,
     optimal_alpha,
@@ -26,9 +30,33 @@ from noma_uplink import (
     symmetry_gaps,
     union_bound_value,
 )
+from noma_uplink.bounds import _distance_spectrum
 
 QPSK = build_constellation("qpsk")
 QAM16 = build_constellation("qam16")
+
+
+@dataclass(frozen=True)
+class ErrorEvent:
+    """A nonzero difference pair with its bit count."""
+
+    u: complex
+    v: complex
+    n_bits: int
+
+
+def enumerate_error_events(c, i1, i2):
+    """All M^2 - 1 error events for the transmitted codeword ``(i1, i2)``.
+
+    Row-major over the detected indices ``(k1, k2)`` (user 2 fastest), with
+    the transmitted pair skipped. This is the scalar reference that the
+    distance spectrum of ``union_bound_value`` condenses.
+    """
+    if not (0 <= i1 < c.M and 0 <= i2 < c.M):
+        raise IndexError(f"symbol index out of range for M={c.M}: ({i1}, {i2})")
+    p, h = c.points, c.hamming
+    return [ErrorEvent(p[i1] - p[k1], p[i2] - p[k2], h[i1][k1] + h[i2][k2])
+            for k1 in range(c.M) for k2 in range(c.M) if (k1, k2) != (i1, i2)]
 
 # The 15 QPSK error events of the transmitted codeword (1+1j, 1+1j):
 # (u, v, bits, d2 at alpha=0.5, d2 at alpha=0.9). Bits counted by hand from
@@ -290,13 +318,31 @@ class TestUnionBound:
                 expected /= c.M**2 * 2 * c.bits_per_symbol
                 assert union_bound_value(c, alpha, n0) == expected, (alpha, ebn0_db)
 
+    @pytest.mark.parametrize("kind", ["qpsk", "qam16"])
+    def test_distance_spectrum_is_its_own_user_swap(self, kind):
+        # The premise of the symmetry argument: swapping the users maps the
+        # spectrum row (|u|^2, |v|^2, n_bits, scale) to (|v|^2, |u|^2, n_bits,
+        # scale), and the rows are the same multiset, exactly.
+        abs_u2, abs_v2, n_bits, scale = (a.tolist() for a in _distance_spectrum(kind))
+        rows = sorted(zip(abs_u2, abs_v2, n_bits, scale))
+        assert rows == sorted(zip(abs_v2, abs_u2, n_bits, scale))
+        assert any(u2 != v2 for u2, v2, _, _ in rows)
+
     @pytest.mark.parametrize("c", [QPSK, QAM16])
     @pytest.mark.parametrize("n0", [0.1, 0.01, 0.001])
     def test_nondecreasing_in_alpha(self, c, n0):
+        # The bound rises strictly with alpha, as the symmetry argument in
+        # ``bounds`` says. The cases for 10, 20 and 30 dB each step from
+        # their own Eb/N0 in 3-dB strides, so together they cover every
+        # integer Eb/N0 from -50 to 130 dB. The alpha step stays at 0.01:
+        # near alpha = 1/2 the rise is quadratic, and a much finer step
+        # falls below an ulp.
         grid = [0.5 + 0.01 * i for i in range(50)]
-        values = [union_bound_value(c, a, n0) for a in grid]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-        assert values[0] == min(values)
+        own_db = round(-10.0 * math.log10(n0))
+        for ebn0_db in range(-50 + (own_db + 50) % 3, 131, 3):
+            values = [union_bound_value(c, a, 10.0 ** (-ebn0_db / 10.0)) for a in grid]
+            assert all(b > a for a, b in zip(values, values[1:])), ebn0_db
+            assert values[0] == min(values)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

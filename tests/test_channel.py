@@ -19,7 +19,7 @@ from noma_uplink import (
     synthesize,
     validate_alpha,
 )
-from noma_uplink.channel import validate_n0
+from noma_uplink.channel import validate_alphas, validate_ebn0_grid, validate_n0, validate_seed
 from noma_uplink.detectors import DETECTORS
 from noma_uplink.rng import DRAWS_PER_TRIAL, normals_from_uniforms, trial_stream
 
@@ -63,6 +63,24 @@ def test_alpha_validation():
     for bad in (0.49, 1.0, 1.2, -0.5):
         with pytest.raises(ValueError):
             validate_alpha(bad)
+
+
+def test_grid_validators_reject_empty():
+    assert validate_alphas([0.9, "0.5"]) == (0.9, 0.5)
+    assert validate_ebn0_grid(["4", 8]) == (4.0, 8.0)
+    with pytest.raises(ValueError, match="alphas must not be empty"):
+        validate_alphas([])
+    with pytest.raises(ValueError, match="ebn0_db_grid must not be empty"):
+        validate_ebn0_grid(iter(()))
+
+
+def test_seed_validation():
+    for good in (0, 7, 2**64 - 1, np.int64(7), np.uint64(2**64 - 1)):
+        seed = validate_seed(good)
+        assert seed == good and type(seed) is int
+    for bad in (-1, 2**64, 1.5, 7.0, True, False, "7", None):
+        with pytest.raises(ValueError):
+            validate_seed(bad)
 
 
 def test_noise_model_snr_mapping():

@@ -163,6 +163,15 @@ class TestBound:
         assert len(rows) == 1
         assert float(rows[0]["abep_bound"]) == pytest.approx(8.349e-4, rel=1e-3)
 
+    @pytest.mark.parametrize("alphas,grid,message", [(",", "20", "alphas must not be empty"),
+                                                     ("0.5", ",", "ebn0_db_grid must not be empty")])
+    def test_empty_grid_rejected(self, tmp_path, capsys, alphas, grid, message):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["bound", "--constellation", "qpsk", "--alpha-grid", alphas,
+                     "--snr-grid-db", grid, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_alpha_out_of_range_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(["bound", "--constellation", "qpsk", "--alpha-grid", "0.4,0.5",
@@ -233,6 +242,19 @@ class TestBer:
         with pytest.raises(SystemExit) as exc:
             run_cli(["ber", "--constellation", "qpsk", "--alpha-list", "0.5",
                      "--snr-grid-db", "4", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_uint64_is_usage_error(self, tmp_path, monkeypatch, seed):
+        # a seed outside [0, 2**64) would alias one inside it
+        args = ["ber", "--constellation", "qpsk", "--alpha-list", "0.5",
+                "--snr-grid-db", "4", "--out", str(tmp_path / "x.csv")]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + ["--seed", seed])
+        assert exc.value.code == 2
+        monkeypatch.setenv("NOMA_UPLINK_SEED", seed)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag", ["--workers", "--min-errors", "--max-codewords"])

@@ -9,7 +9,8 @@ import math
 
 import pytest
 
-from noma_uplink import build_constellation, enumerate_error_events
+from noma_uplink import build_constellation
+from test_bounds import enumerate_error_events
 
 # Fixed Gray map for QPSK: label (b0 b1) -> (1-2b0) + j(1-2b1). Written out
 # literally so the tests do not depend on the implementation's own tables.

@@ -11,7 +11,6 @@ from noma_uplink import (
     NoiseModel,
     SimConfig,
     build_constellation,
-    crossing_ebn0_db,
     detect,
     point_stream_key,
     run_ber_point,
@@ -21,7 +20,8 @@ from noma_uplink import (
     trial_stream,
     union_bound_value,
 )
-from noma_uplink.montecarlo import BerCurve, BerPoint, TRIALS_PER_BLOCK, sweep_points
+from noma_uplink.montecarlo import (BerCurve, BerPoint, TRIALS_PER_BLOCK, crossing_from_pairs,
+                                    sweep_points)
 from noma_uplink.rng import DRAWS_PER_TRIAL, normals_from_uniforms
 from test_detectors import metric_oracle, sic_oracle
 
@@ -57,6 +57,16 @@ class TestConfigValidation:
                 SimConfig(**{field: value})
         workers = SimConfig(workers=np.int64(2)).workers
         assert workers == 2 and type(workers) is int
+        # a seed is an integer in [0, 2**64): no float, bool, string or aliasing value
+        for value in (1.5, True, "7", -1, 2**64):
+            with pytest.raises(ValueError):
+                SimConfig(seed=value)
+        seed = SimConfig(seed=np.uint64(2**64 - 1)).seed
+        assert seed == 2**64 - 1 and type(seed) is int
+        # a sweep needs at least one alpha and one Eb/N0
+        for field in ("alphas", "ebn0_db_grid"):
+            with pytest.raises(ValueError):
+                SimConfig(**{field: ()})
         with pytest.raises(ValueError):
             SimConfig(ebn0_db_grid=(10.0, float("nan")))
         # the order and repeat rules apply to the parsed floats, not the raw values
@@ -240,6 +250,11 @@ class TestBoundConsistency:
             assert p.ber <= bound + 2 * p.ci95_halfwidth
 
 
+def pairs_of(curve):
+    """The (ebn0_db, ber) pairs of a curve, as ``snr_degradation`` reads them."""
+    return [(p.ebn0_db, p.ber) for p in curve.points]
+
+
 class TestDegradation:
     def make_curve(self, alpha, pairs):
         cfg = small_cfg()
@@ -254,7 +269,7 @@ class TestDegradation:
     def test_crossing_log_linear(self):
         curve = self.make_curve(0.5, [(10.0, 1e-2), (20.0, 1e-4)])
         # log-linear: 1e-3 sits exactly halfway between 1e-2 and 1e-4
-        assert crossing_ebn0_db(curve, 1e-3) == pytest.approx(15.0, rel=1e-12)
+        assert crossing_from_pairs(pairs_of(curve), 1e-3) == pytest.approx(15.0, rel=1e-12)
 
     def test_self_degradation_is_zero(self):
         curve = self.make_curve(0.5, [(10.0, 1e-2), (20.0, 1e-4)])
@@ -268,9 +283,9 @@ class TestDegradation:
     def test_unbracketed_target_rejected(self):
         curve = self.make_curve(0.5, [(10.0, 1e-2), (20.0, 1e-4)])
         with pytest.raises(ValueError, match="insufficient curve range"):
-            crossing_ebn0_db(curve, 1e-6)
+            snr_degradation(curve, curve, 1e-6)
         with pytest.raises(ValueError, match="insufficient curve range"):
-            crossing_ebn0_db(curve, 0.5)
+            snr_degradation(curve, curve, 0.5)
 
     def test_zero_ber_points_are_ignored_for_crossing(self):
         curve = self.make_curve(0.5, [(10.0, 1e-2), (20.0, 1e-4)])
@@ -278,4 +293,4 @@ class TestDegradation:
                            ber=0.0, ci95_halfwidth=0.0, seed=0, stream_key=0,
                            codewords_used=250, status="upper-bound-only")
         curve2 = BerCurve(config=curve.config, alpha=0.5, points=curve.points + (zero_pt,))
-        assert crossing_ebn0_db(curve2, 1e-3) == pytest.approx(15.0, rel=1e-12)
+        assert crossing_from_pairs(pairs_of(curve2), 1e-3) == pytest.approx(15.0, rel=1e-12)
