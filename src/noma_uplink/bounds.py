@@ -4,7 +4,7 @@ Codewords are pairs of symbol indices; every quantity here is computed
 from indices, ``Constellation.points`` and ``Constellation.hamming``. For
 the error event from ``(i1, i2)`` to ``(k1, k2)``, with symbol differences
 ``(u, v) = (points[i1] - points[k1], points[i2] - points[k2])`` and
-``n_bits = hamming[i1][k1] + hamming[i2][k2]``, the scaled difference
+``n_bits = hamming[i1, k1] + hamming[i2, k2]``, the scaled difference
 vector has squared norm
 
     d2(alpha) = alpha*|u|^2 + (1 - alpha)*|v|^2
@@ -151,10 +151,10 @@ def _distance_spectrum(kind):
     becomes one row per set bit ``2^k`` of ``m``, with ``scale = 2^k``.
     """
     c = build_constellation(kind)
-    p = c.point_array
+    p = c.points
     diff = (p[:, None] - p[None, :]).ravel()        # symbol pair i*M + k: points[i] - points[k]
     abs2 = diff.real * diff.real + diff.imag * diff.imag
-    bits = np.array(c.hamming).ravel()
+    bits = c.hamming.ravel()
     # an event is a symbol pair of user 1 and a symbol pair of user 2
     pair1, pair2 = np.divmod(np.arange(abs2.size**2), abs2.size)
     events = np.stack([abs2[pair1], abs2[pair2], bits[pair1] + bits[pair2]], axis=1)
@@ -213,9 +213,9 @@ def error_event_pep_table(n0=0.01):
     p, h = c.points, c.hamming
     rows = []
     for idx, (k1, k2) in enumerate(_QPSK_TABLE_EVENTS, start=1):
-        du, dv = p[0] - p[k1], p[0] - p[k2]
+        du, dv = complex(p[0] - p[k1]), complex(p[0] - p[k2])
         d2_lo, d2_hi = (event_norm(du, dv, a) for a in TABLE_ALPHAS)
-        rows.append(PepTableRow(f"E{idx}", du, dv, h[0][k1] + h[0][k2], d2_lo, d2_hi,
+        rows.append(PepTableRow(f"E{idx}", du, dv, int(h[0, k1] + h[0, k2]), d2_lo, d2_hi,
                                 pep_bound(d2_lo, n0), pep_bound(d2_hi, n0)))
     return rows
 

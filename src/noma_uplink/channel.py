@@ -137,12 +137,11 @@ def synthesize(u, c, alpha, n0):
     array with one value per trial.
     """
     alpha = validate_alpha(alpha)
-    points = c.point_array
     i1 = (u[:, 0] * c.M).astype(np.int64)
     i2 = (u[:, 1] * c.M).astype(np.int64)
     h = _pairs(normals_from_uniforms(u[:, 2:10]) / math.sqrt(2.0))
-    x1 = math.sqrt(alpha) * points[i1]
-    x2 = math.sqrt(1.0 - alpha) * points[i2]
+    x1 = math.sqrt(alpha) * c.points[i1]
+    x2 = math.sqrt(1.0 - alpha) * c.points[i2]
     w1, w2 = _pairs(normals_from_uniforms(u[:, 10:14]) * math.sqrt(n0))
     h11, h12, h21, h22 = h
     return i1, i2, h, (h11 * x1 + h12 * x2 + w1, h21 * x1 + h22 * x2 + w2)

@@ -212,7 +212,7 @@ def _cmd_ber(args):
 
 
 def read_ber_csv(path):
-    """Parse a ber-subcommand CSV back into a list of row dicts."""
+    """Parse a ber-subcommand CSV (status column included) into alpha/ebn0_db/ber dicts."""
     schema = None
     rows = []
     with open(path, newline="") as fh:
@@ -242,7 +242,6 @@ def read_ber_csv(path):
                 "alpha": validate_alpha(rec["alpha"]),
                 "ebn0_db": NoiseModel.from_ebn0_db(rec["ebn0_db"]).ebn0_db,
                 "ber": ber,
-                "status": rec["status"],
             })
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None

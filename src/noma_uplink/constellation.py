@@ -20,12 +20,12 @@ A codeword is a pair of symbol indices ``(i1, i2)``, one per user. The
 analytic layer (``bounds``) reads nothing but indices, ``points`` and the
 one Hamming table ``hamming``: an error event from ``(i1, i2)`` to
 ``(k1, k2)`` has differences ``points[i1] - points[k1]`` and
-``points[i2] - points[k2]`` and costs ``hamming[i1][k1] + hamming[i2][k2]``
+``points[i2] - points[k2]`` and costs ``hamming[i1, k1] + hamming[i2, k2]``
 bits.
 
-The batched layers read two read-only numpy arrays, each built once per
-constellation: ``point_array`` (the points) and ``slicer`` (the per-axis
-nearest-level cells that the ML detector slices user 2 with).
+``points`` (``complex128``) and ``hamming`` (``int64``, M x M) are the
+read-only numpy arrays that every layer reads as they are; the ML detector
+also reads ``slicer``, the per-axis nearest-level cells it slices user 2 with.
 """
 
 import math
@@ -42,26 +42,22 @@ _AXES = {
 KINDS = tuple(_AXES)
 
 
-@dataclass(frozen=True)
+# eq=False: a generated __eq__ on array fields is ambiguous, so compare by identity
+@dataclass(frozen=True, eq=False)
 class Constellation:
     """Finite complex symbol set with index-aligned bit labels."""
 
     kind: str
-    points: tuple
+    points: np.ndarray
     labels: tuple
     M: int
     bits_per_symbol: int
 
     @cached_property
     def hamming(self):
-        """M x M Hamming distances between bit labels: ``hamming[a][b]``."""
-        return tuple(tuple(sum(x != y for x, y in zip(la, lb)) for lb in self.labels)
-                     for la in self.labels)
-
-    @cached_property
-    def point_array(self):
-        """``points`` as a read-only complex numpy array."""
-        return _frozen(np.array(self.points))
+        """M x M Hamming distances between bit labels: ``hamming[a, b]``."""
+        return _frozen(np.array([[sum(x != y for x, y in zip(la, lb)) for lb in self.labels]
+                                 for la in self.labels], dtype=np.int64))
 
     @cached_property
     def slicer(self):
@@ -89,11 +85,11 @@ def _frozen(a):
 
 def build_constellation(kind):
     """Build the QPSK or 16QAM constellation described in the module docs."""
-    if kind not in _AXES:
+    if kind not in KINDS:
         raise ValueError(f"unsupported constellation kind: {kind!r} (expected one of {KINDS})")
     levels, scale = _AXES[kind]
     axis = sorted(levels)
     labels = tuple(re + im for re in axis for im in axis)
-    points = tuple(complex(levels[re] * scale, levels[im] * scale)
-                   for re in axis for im in axis)
+    points = _frozen(np.array([complex(levels[re] * scale, levels[im] * scale)
+                               for re in axis for im in axis]))
     return Constellation(kind, points, labels, len(points), 2 * len(axis[0]))

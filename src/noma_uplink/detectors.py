@@ -131,7 +131,7 @@ def detect(detector, r, h, alpha, c):
     alpha = validate_alpha(alpha)
     s1 = math.sqrt(alpha)
     s2 = math.sqrt(1.0 - alpha)
-    points = c.point_array
+    points = c.points
     if detector == "ml":
         return _ml_layered(r, h, s1 * points, s2 * points, s2, c)
     if detector == "sic":

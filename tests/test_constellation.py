@@ -7,6 +7,7 @@ one Hamming table, ``Constellation.hamming``.
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from noma_uplink import build_constellation
@@ -56,8 +57,26 @@ def qam16():
 
 
 def test_unsupported_kind_rejected():
+    # an unhashable kind is a ValueError too, not a TypeError from a dict lookup
+    for kind in ("qam64", ["qpsk"]):
+        with pytest.raises(ValueError, match="unsupported constellation kind"):
+            build_constellation(kind)
+
+
+@pytest.mark.parametrize("kind", ["qpsk", "qam16"])
+def test_points_and_hamming_are_read_only_arrays(kind):
+    c = build_constellation(kind)
+    assert isinstance(c.points, np.ndarray) and c.points.dtype == np.complex128
+    assert c.points.shape == (c.M,)
+    assert isinstance(c.hamming, np.ndarray) and c.hamming.dtype == np.int64
+    assert c.hamming.shape == (c.M, c.M)
     with pytest.raises(ValueError):
-        build_constellation("qam64")
+        c.points[0] = 0
+    with pytest.raises(ValueError):
+        c.hamming[0, 0] = 1
+    for a, la in enumerate(c.labels):
+        for b, lb in enumerate(c.labels):
+            assert c.hamming[a, b] == sum(x != y for x, y in zip(la, lb))
 
 
 def test_qpsk_points_and_labels(qpsk):

@@ -206,7 +206,7 @@ def test_ml_slicer_midpoint_falls_back_to_full_search():
     c = build_constellation("qpsk")
     alpha = 0.7
     i1 = np.arange(c.M)
-    r = (np.full(c.M, 1j * math.sqrt(1.0 - alpha)), math.sqrt(alpha) * c.point_array[i1])
+    r = (np.full(c.M, 1j * math.sqrt(1.0 - alpha)), math.sqrt(alpha) * c.points[i1])
     h = channel(c.M, 0, 1, 1, 0)
     j1, j2 = detect("ml", r, h, alpha, c)
     assert np.array_equal(j1, i1) and not j2.any()

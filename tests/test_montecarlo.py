@@ -35,8 +35,10 @@ def small_cfg(**kw):
 
 class TestConfigValidation:
     def test_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            SimConfig(kind="qam64")
+        # the kind rule is build_constellation's, unhashable kinds included
+        for kind in ("qam64", ["qpsk"]):
+            with pytest.raises(ValueError, match="unsupported constellation kind"):
+                SimConfig(kind=kind)
         with pytest.raises(ValueError):
             SimConfig(detector="mmse")
         with pytest.raises(ValueError):
