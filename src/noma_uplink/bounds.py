@@ -31,10 +31,10 @@ The bit-weighted union bound averages ``n_bits * pep`` over every ordered
 pair of distinct codewords and divides by ``M^2 * 2*log2(M)``.
 
 That average depends on an event only through ``(|u|^2, |v|^2, n_bits)``,
-so it is evaluated on the constellation's distance spectrum: each distinct
-triple with its multiplicity (168 classes for 16QAM instead of 65,280
-events). Classes are grouped on the exact floating-point values, so every
-class member has the same rounded term.
+so it is evaluated on the given constellation's distance spectrum, cached
+per instance (one per kind): each distinct triple with its multiplicity (168
+classes for 16QAM, not 65,280 events), grouped on the exact floating-point
+values, so every class member has the same rounded term.
 
 The symmetry argument: swapping the users maps the event ``(i1, i2) ->
 (k1, k2)`` to ``(i2, i1) -> (k2, k1)``, which turns ``(u, v)`` into
@@ -143,14 +143,13 @@ def pairwise_sum_excess(u, v, alpha, n0):
 
 
 @lru_cache(maxsize=4)
-def _distance_spectrum(kind):
-    """Union-bound terms ``(|u|^2, |v|^2, n_bits, scale)`` of one constellation.
+def _distance_spectrum(c):
+    """Union-bound terms ``(|u|^2, |v|^2, n_bits, scale)`` of constellation ``c``.
 
     The events are all M^2 (M^2 - 1) ordered pairs of distinct codewords.
     Each class of equal ``(|u|^2, |v|^2, n_bits)`` with multiplicity ``m``
     becomes one row per set bit ``2^k`` of ``m``, with ``scale = 2^k``.
     """
-    c = build_constellation(kind)
     p = c.points
     diff = (p[:, None] - p[None, :]).ravel()        # symbol pair i*M + k: points[i] - points[k]
     abs2 = diff.real * diff.real + diff.imag * diff.imag
@@ -184,7 +183,7 @@ def union_bound_value(c, alpha, n0):
     """
     alpha = validate_alpha(alpha)
     validate_n0(n0)
-    abs_u2, abs_v2, n_bits, scale = _distance_spectrum(c.kind)
+    abs_u2, abs_v2, n_bits, scale = _distance_spectrum(c)
     d2 = alpha * abs_u2 + (1.0 - alpha) * abs_v2
     weighted = n_bits * _pep(d2, n0)
     return math.fsum((scale * weighted).tolist()) / (c.M**2 * 2 * c.bits_per_symbol)

@@ -74,6 +74,9 @@ def _target_ber(text):
     return ber
 
 
+_MAX_GRID_POINTS = 10**6
+
+
 def _parse_grid(text):
     """Parse 'start:stop:step' (inclusive endpoints) or a comma list."""
     if ":" in text:
@@ -84,7 +87,11 @@ def _parse_grid(text):
         start, stop, step = (float(p) for p in parts)
         if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise argparse.ArgumentTypeError(f"bad grid range: {text!r}")
-        n = int(round((stop - start) / step)) + 1
+        span = (stop - start) / step  # inf when stop - start overflows
+        if not span + 1 <= _MAX_GRID_POINTS:
+            raise argparse.ArgumentTypeError(
+                f"grid range {text!r} has more than {_MAX_GRID_POINTS} points")
+        n = int(round(span)) + 1
         values = [round(start + i * step, 12) for i in range(n)]
         values = [v for v in values if v <= stop + 1e-12]
     else:
@@ -227,14 +234,14 @@ def read_ber_csv(path):
     if schema != f"{_SCHEMA_PREFIX}/ber/v1":
         raise ValueError(f"{path}: not a noma-uplink ber CSV (schema={schema!r})")
     reader = csv.DictReader(data_lines)
-    missing = {"alpha", "ebn0_db", "ber", "status"}.difference(reader.fieldnames or ())
-    if missing:
-        raise ValueError(f"{path}: ber CSV lacks column(s) {', '.join(sorted(missing))}")
-    for rec in reader:
-        # DictReader gives a short row None values and a long row a None key
-        if None in rec.values() or None in rec:
-            raise ValueError(f"{path}: ber CSV has a row whose length differs from the header")
-        try:
+    try:
+        missing = {"alpha", "ebn0_db", "ber", "status"}.difference(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"ber CSV lacks column(s) {', '.join(sorted(missing))}")
+        for rec in reader:
+            # DictReader gives a short row None values and a long row a None key
+            if None in rec.values() or None in rec:
+                raise ValueError("ber CSV has a row whose length differs from the header")
             ber = float(rec["ber"])
             if not 0.0 <= ber <= 1.0:
                 raise ValueError(f"ber must lie in [0, 1], got {rec['ber']}")
@@ -243,8 +250,11 @@ def read_ber_csv(path):
                 "ebn0_db": NoiseModel.from_ebn0_db(rec["ebn0_db"]).ebn0_db,
                 "ber": ber,
             })
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        # ber writes each alpha's Eb/N0 grid in order, so a repeat is malformed
+        for alpha in {r["alpha"] for r in rows}:
+            validate_ebn0_grid(r["ebn0_db"] for r in rows if r["alpha"] == alpha)
+    except (ValueError, csv.Error) as exc:  # csv.Error: e.g. a cell over the field size limit
+        raise ValueError(f"{path}: {exc}") from None
     return rows
 
 

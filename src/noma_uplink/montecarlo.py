@@ -78,7 +78,6 @@ class BerPoint:
 
 @dataclass(frozen=True)
 class BerCurve:
-    config: SimConfig
     alpha: float
     points: tuple
 
@@ -139,7 +138,7 @@ def sweep(cfg):
     """One BerCurve per alpha in ``cfg.alphas`` over ``cfg.ebn0_db_grid``."""
     points = sweep_points(cfg)
     n = len(cfg.ebn0_db_grid)
-    return [BerCurve(config=cfg, alpha=a, points=tuple(islice(points, n))) for a in cfg.alphas]
+    return [BerCurve(alpha=a, points=tuple(islice(points, n))) for a in cfg.alphas]
 
 
 def crossing_from_pairs(pairs, target_ber):

@@ -6,6 +6,8 @@ the package would otherwise go unnoticed. ``perfbench/workloads.py`` passes
 its Monte Carlo workloads to ``SimConfig`` as keyword fields, so removing or
 renaming a field would break the benchmark. ``perfbench/child.py`` calls the
 package as ``nu.<name>``, so every such name must stay a package attribute.
+``perfbench/run.py`` checks the Monte Carlo points against ``reference.json``
+at the pinned seed; the shorter of those points are re-run here.
 The names the scripts under ``demos/`` import from the package are checked
 here too, and the package's public names are pinned. The two bound-only
 demos take about half a second each and are run end to end; the two Monte
@@ -15,6 +17,7 @@ Carlo demos take about a minute each and are not.
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -55,6 +58,27 @@ def test_monte_carlo_workload_is_valid_config(workload):
     cfg = SimConfig(**fields, seed=_WORKLOADS.PINNED_SEED)
     # SimConfig stores its validated floats; the workloads' inputs are unchanged by that
     assert cfg.alphas == fields["alphas"] and cfg.ebn0_db_grid == fields["ebn0_db_grid"]
+
+
+_REFERENCE = json.loads((_PERFBENCH / "reference.json").read_text())
+# Reference points at most this many codewords long are re-simulated here.
+_PINNED_MAX_CODEWORDS = 100_000
+
+
+@pytest.mark.parametrize("workload", sorted(_WORKLOADS.MONTE_CARLO))
+def test_pinned_seed_reproduces_reference_points(workload):
+    # The benchmark checks its Monte Carlo points against reference.json at
+    # PINNED_SEED; this re-runs the shorter ones, so a change to any BerPoint
+    # shows in the suite and not only in a benchmark run.
+    cfg = SimConfig(**_WORKLOADS.MONTE_CARLO[workload], seed=_WORKLOADS.PINNED_SEED)
+    ref = _REFERENCE["points"][noma_uplink.RNG_ALGORITHM][workload]
+    pinned = [r for r in ref if r[3] <= _PINNED_MAX_CODEWORDS]
+    assert pinned
+    got = []
+    for alpha, ebn0_db, *_ in pinned:
+        p = noma_uplink.run_ber_point(cfg, alpha, ebn0_db)
+        got.append([p.alpha, p.ebn0_db, p.bit_errors, p.codewords_used, p.status])
+    assert got == pinned
 
 
 def test_sweep_is_eager():

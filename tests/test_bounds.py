@@ -323,7 +323,8 @@ class TestUnionBound:
         # The premise of the symmetry argument: swapping the users maps the
         # spectrum row (|u|^2, |v|^2, n_bits, scale) to (|v|^2, |u|^2, n_bits,
         # scale), and the rows are the same multiset, exactly.
-        abs_u2, abs_v2, n_bits, scale = (a.tolist() for a in _distance_spectrum(kind))
+        abs_u2, abs_v2, n_bits, scale = (a.tolist() for a in
+                                         _distance_spectrum(build_constellation(kind)))
         rows = sorted(zip(abs_u2, abs_v2, n_bits, scale))
         assert rows == sorted(zip(abs_v2, abs_u2, n_bits, scale))
         assert any(u2 != v2 for u2, v2, _, _ in rows)

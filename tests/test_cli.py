@@ -194,6 +194,16 @@ class TestBound:
                      "--snr-grid-db", grid, "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("alphas,grid", [("0.5:1e9:1e-3", "20"), ("0.5:1e308:1e-308", "20"),
+                                             ("0.5", "0:1e9:1e-3"), ("0.5", "0:1e308:1e-308")])
+    def test_oversized_range_rejected(self, tmp_path, capsys, alphas, grid):
+        # 10^12 points, or a point count that overflows: refused before any is built
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["bound", "--constellation", "qpsk", "--alpha-grid", alphas,
+                     "--snr-grid-db", grid, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "has more than 1000000 points" in capsys.readouterr().err
+
 
 class TestBer:
     def test_small_run_schema_and_determinism(self, tmp_path):
@@ -356,6 +366,9 @@ class TestDegradation:
         "alpha,ebn0_db,ber,status\n0.5,10,0.01,ok\n1.5,10,0.01,ok\n",  # alpha out of range
         "alpha,ebn0_db,ber,status\n0.5,10,inf,ok\n",  # ber outside [0, 1]
         "alpha,ebn0_db,ber,status\n0.5,nan,0.01,ok\n",  # non-finite Eb/N0
+        pytest.param("alpha,ebn0_db,ber,status\n0.5,10,0.01," + "o" * 131_073 + "\n",
+                     id="cell-over-csv-field-limit"),
+        "alpha,ebn0_db,ber,status\n0.5,10,0.01,ok\n0.5,10,0.02,ok\n0.5,20,1e-4,ok\n",  # repeat
     ])
     def test_malformed_ber_csv_is_runtime_error(self, tmp_path, capsys, body):
         path = tmp_path / "ber.csv"

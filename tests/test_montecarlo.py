@@ -259,14 +259,13 @@ def pairs_of(curve):
 
 class TestDegradation:
     def make_curve(self, alpha, pairs):
-        cfg = small_cfg()
         pts = tuple(
             BerPoint(alpha=alpha, ebn0_db=s, bit_errors=100, bits_simulated=int(100 / b),
                      ber=b, ci95_halfwidth=0.0, seed=0, stream_key=0,
                      codewords_used=1, status="ok")
             for s, b in pairs
         )
-        return BerCurve(config=cfg, alpha=alpha, points=pts)
+        return BerCurve(alpha=alpha, points=pts)
 
     def test_crossing_log_linear(self):
         curve = self.make_curve(0.5, [(10.0, 1e-2), (20.0, 1e-4)])
@@ -294,5 +293,5 @@ class TestDegradation:
         zero_pt = BerPoint(alpha=0.5, ebn0_db=30.0, bit_errors=0, bits_simulated=1000,
                            ber=0.0, ci95_halfwidth=0.0, seed=0, stream_key=0,
                            codewords_used=250, status="upper-bound-only")
-        curve2 = BerCurve(config=curve.config, alpha=0.5, points=curve.points + (zero_pt,))
+        curve2 = BerCurve(alpha=0.5, points=curve.points + (zero_pt,))
         assert crossing_from_pairs(pairs_of(curve2), 1e-3) == pytest.approx(15.0, rel=1e-12)
