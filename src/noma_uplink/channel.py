@@ -22,15 +22,17 @@ All sampling consumes uniforms in a fixed order (one uniform per normal
 variate, via the inverse CDF), which is what makes the sliced Monte Carlo
 harness reproducible; see ``rng``. ``synthesize`` is the one signal model:
 it turns a batch of trials into sent indices, channels and received vectors.
+It reads the 12 channel and noise normals of a trial from one inverse-CDF
+call, as six ``complex128`` values, real part first.
 
 Each input rule is checked in one place, here, and every entry point (the
-CLI, ``SimConfig``, ``BerCurve``, ``bounds``) calls it: ``validate_alpha``
-for one alpha, ``validate_alphas`` for an alpha list (not empty, no
-repeats), ``validate_n0`` for the noise parameter, ``NoiseModel`` for one
-operating point, ``validate_ebn0_grid`` for an Eb/N0 grid (not empty,
-strictly increasing), ``validate_count`` for a trial, error or worker count
-(a positive integer) and ``validate_seed`` for a master seed (an integer in
-[0, 2**64)).
+CLI, ``SimConfig``, ``BerCurve``, ``bounds``, ``synthesize``) calls it:
+``validate_alpha`` for one alpha, ``validate_alphas`` for an alpha list (not
+empty, no repeats), ``validate_n0`` for the noise parameter, ``NoiseModel``
+for one operating point, ``validate_ebn0_grid`` for an Eb/N0 grid (not
+empty, strictly increasing), ``validate_count`` for a trial, error or worker
+count (a positive integer) and ``validate_seed`` for a master seed (an
+integer in [0, 2**64)).
 """
 
 import math
@@ -121,11 +123,6 @@ def validate_ebn0_grid(values):
     return grid
 
 
-def _pairs(g):
-    """Complex values from (real, imag) pairs along the last axis of ``g``."""
-    return tuple(g[..., k] + 1j * g[..., k + 1] for k in range(0, g.shape[-1], 2))
-
-
 def synthesize(u, c, alpha, n0):
     """Sent symbols and received vectors for a batch of trials.
 
@@ -137,11 +134,12 @@ def synthesize(u, c, alpha, n0):
     array with one value per trial.
     """
     alpha = validate_alpha(alpha)
-    i1 = (u[:, 0] * c.M).astype(np.int64)
-    i2 = (u[:, 1] * c.M).astype(np.int64)
-    h = _pairs(normals_from_uniforms(u[:, 2:10]) / math.sqrt(2.0))
+    n0 = validate_n0(n0)
+    i1, i2 = (u[:, :2] * c.M).astype(np.int64).T
+    g = np.ascontiguousarray(normals_from_uniforms(u[:, 2:14]))  # C order, for the view
+    g[:, :8] /= math.sqrt(2.0)
+    g[:, 8:] *= math.sqrt(n0)
+    h11, h12, h21, h22, w1, w2 = g.view(np.complex128).T
     x1 = math.sqrt(alpha) * c.points[i1]
     x2 = math.sqrt(1.0 - alpha) * c.points[i2]
-    w1, w2 = _pairs(normals_from_uniforms(u[:, 10:14]) * math.sqrt(n0))
-    h11, h12, h21, h22 = h
-    return i1, i2, h, (h11 * x1 + h12 * x2 + w1, h21 * x1 + h22 * x2 + w2)
+    return i1, i2, (h11, h12, h21, h22), (h11 * x1 + h12 * x2 + w1, h21 * x1 + h22 * x2 + w2)

@@ -88,7 +88,7 @@ def _ml_layered(r, h, x1, x2, s2, c):
     edges, index = c.slicer
     r1, r2 = r
     h11, h12, h21, h22 = h
-    g = h12.real**2 + h12.imag**2 + h22.real**2 + h22.imag**2
+    g = _metric(h12, h22)
     t = (abs(r1) + abs(r2) + (abs(h11) + abs(h21)) * np.abs(x1).max()
          + (abs(h12) + abs(h22)) * np.abs(x2).max())
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -3,7 +3,8 @@
 Every simulation point owns one counter-based Philox stream whose 64-bit key
 is derived from the master seed and the point's parameter *values* (not grid
 positions), so reshaping a sweep grid never silently changes the random data
-fed to any (alpha, Eb/N0) point.
+fed to any (alpha, Eb/N0) point. Equal values share a key, so -0.0 and 0.0
+do too.
 
 Stream layout: each trial consumes a fixed budget of 16 double-precision
 uniforms (4 Philox counter blocks), so the generator can be positioned at any
@@ -40,15 +41,16 @@ def _splitmix64(x):
 
 
 def _float_bits(x):
-    """IEEE-754 bit pattern of a float as an unsigned 64-bit int."""
-    return struct.unpack("<Q", struct.pack("<d", float(x)))[0]
+    """IEEE-754 bit pattern of a float as an unsigned 64-bit int, -0.0 read as 0.0."""
+    return struct.unpack("<Q", struct.pack("<d", float(x) + 0.0))[0]
 
 
 def point_stream_key(master_seed, alpha, ebn0_db):
     """Stream key for one (alpha, Eb/N0) simulation point.
 
     Keyed on the IEEE bit patterns of the parameter values so the stream is
-    a pure function of (seed, alpha, ebn0_db). Chained splitmix64:
+    a pure function of (seed, alpha, ebn0_db); -0.0 is keyed as 0.0, its
+    equal value. Chained splitmix64:
     k = sm64(seed); k = sm64(k ^ field) for each field.
     """
     key = _splitmix64(int(master_seed) & _MASK64)

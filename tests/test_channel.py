@@ -101,12 +101,15 @@ def test_noise_model_rejects_non_finite_ebn0(ebn0_db):
         NoiseModel.from_ebn0_db(ebn0_db)
 
 
-@pytest.mark.parametrize("n0", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("n0", [math.nan, math.inf, -1.0, 0.0])
 def test_noise_model_rejects_non_finite_n0(n0):
     with pytest.raises(ValueError):
         NoiseModel.from_n0(n0)
     with pytest.raises(ValueError):
         validate_n0(n0)
+    c = build_constellation("qpsk")
+    with pytest.raises(ValueError, match="n0"):
+        synthesize(codeword_rows(c), c, 0.5, n0)
 
 
 def test_scale_codeword_balanced():
@@ -223,6 +226,16 @@ def test_transmit_linear_in_noise_and_signal():
     r_clean = np.stack(synthesize(clean, c, 0.7, n0)[3], axis=-1)
     noise = pairs(normals_from_uniforms(u[:, 10:14]) * math.sqrt(n0))
     np.testing.assert_allclose(r_noisy - r_clean, noise, rtol=1e-12)
+
+
+def test_draw_rows_in_any_memory_order_give_the_same_batch():
+    c = build_constellation("qam16")
+    u = gen(11).random((40, DRAWS_PER_TRIAL))
+    expected = synthesize(u, c, 0.8, 0.05)
+    for rows in (np.asfortranarray(u), np.hstack((u, u))[:, :DRAWS_PER_TRIAL]):
+        i1, i2, h, r = synthesize(rows, c, 0.8, 0.05)
+        assert np.array_equal(i1, expected[0]) and np.array_equal(i2, expected[1])
+        assert np.stack((*h, *r)).tobytes() == np.stack((*expected[2], *expected[3])).tobytes()
 
 
 def test_zero_uniform_gives_finite_normal():

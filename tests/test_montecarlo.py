@@ -151,6 +151,10 @@ class TestDeterminism:
         swept = sweep(cfg_sweep)[1].points[1]
         assert dataclasses.replace(single, seed=0) == dataclasses.replace(swept, seed=0)
         assert single.seed == swept.seed == 314159
+        # -0.0 and 0.0 are one value, so they key one stream.
+        assert point_stream_key(314159, 0.9, -0.0) == point_stream_key(314159, 0.9, 0.0)
+        cfg = small_cfg()
+        assert run_ber_point(cfg, 0.9, -0.0) == run_ber_point(cfg, 0.9, 0.0)
 
     def test_different_seeds_differ(self):
         a = run_ber_point(small_cfg(), 0.9, 8.0)
