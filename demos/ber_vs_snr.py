@@ -1,11 +1,12 @@
 """Monte Carlo BER curves for QPSK at several power imbalance factors.
 
-Runs a reduced-size sweep (200 bit errors per point) so it finishes in
-about a minute, prints the BER table next to the union bound, and saves a
-plot to ber_qpsk.png when matplotlib is available.
+Runs a reduced-size sweep (200 bit errors per point) so it finishes in a
+few seconds, prints the BER table next to the union bound, and saves a plot
+to ber_qpsk.png when matplotlib is available.
 
-The union bound tracks the simulation within a factor of about two, and
-the alpha ordering is exactly the one the bound analysis predicts.
+The union bound lies above every simulated point, within a factor of about
+two from 18 dB up and loosest (about 4x) at 8 dB and alpha = 0.95, and the
+alpha ordering is exactly the one the bound analysis predicts.
 """
 
 from noma_uplink import NoiseModel, SimConfig, build_constellation, sweep, union_bound_value

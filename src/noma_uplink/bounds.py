@@ -64,7 +64,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import validate_alpha, validate_n0
+from .channel import validate_alpha, validate_alphas, validate_n0
 from .constellation import build_constellation
 
 
@@ -220,8 +220,5 @@ def error_event_pep_table(n0=0.01):
 
 
 def optimal_alpha(c, n0, grid):
-    """Grid argmin of the union bound over alpha; ties go to the smaller alpha."""
-    grid = sorted(validate_alpha(a) for a in grid)
-    if not grid:
-        raise ValueError("alpha grid must not be empty")
-    return min(grid, key=lambda a: union_bound_value(c, a, n0))
+    """Argmin of the union bound over an alpha list; ties go to the smaller alpha."""
+    return min(sorted(validate_alphas(grid)), key=lambda a: union_bound_value(c, a, n0))

@@ -101,16 +101,11 @@ class NoiseModel:
 
     @classmethod
     def from_ebn0_db(cls, ebn0_db):
-        ebn0_db = float(ebn0_db)
+        ebn0_db = float(ebn0_db) + 0.0  # -0.0 is the operating point 0 dB
         try:
             return cls(ebn0_db, 10.0 ** (-ebn0_db / 10.0))
         except OverflowError:
             return cls(ebn0_db, math.inf)
-
-    @classmethod
-    def from_n0(cls, n0):
-        n0 = validate_n0(float(n0))
-        return cls(-10.0 * math.log10(n0), n0)
 
 
 def validate_ebn0_grid(values):

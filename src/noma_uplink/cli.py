@@ -16,14 +16,13 @@ comparable. Exit codes: 0 success, 2 usage error, 3 runtime/config error.
 
 The CLI parses arguments and formats output; the library decides: the sweep
 order and ``ber`` defaults in ``montecarlo``, the alpha argmin in ``bounds``
-and every input check in ``channel``. The default Monte Carlo seed can be
-overridden with the environment variable ``NOMA_UPLINK_SEED``.
+and every input check in ``channel``. Each operating point is an Eb/N0 in
+dB, and the one Monte Carlo seed is ``ber --seed``.
 """
 
 import argparse
 import csv
 import math
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -62,7 +61,6 @@ def _arg_type(convert):
 
 _alpha_value = _arg_type(validate_alpha)
 _noise_from_ebn0_db = _arg_type(NoiseModel.from_ebn0_db)
-_noise_from_n0 = _arg_type(NoiseModel.from_n0)
 _count = _arg_type(lambda text: validate_count(int(text)))
 _seed = _arg_type(lambda text: validate_seed(int(text)))
 
@@ -295,10 +293,8 @@ def build_parser():
     p.set_defaults(func=_cmd_constellation)
 
     p = sub.add_parser("table1", help="QPSK error-event PEP table with ABEP bound footer")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n0", dest="noise", type=_noise_from_n0, help="noise parameter n0")
-    group.add_argument("--snr-db", dest="noise", type=_noise_from_ebn0_db,
-                       help="Eb/N0 in dB (n0 = 10^(-x/10))")
+    p.add_argument("--snr-db", dest="noise", type=_noise_from_ebn0_db, required=True,
+                   help="Eb/N0 in dB (n0 = 10^(-x/10))")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_table1)
 
@@ -317,10 +313,7 @@ def build_parser():
     p.add_argument("--alpha-list", type=_alpha_grid, required=True,
                    help="comma list (or start:stop:step), within [0.5, 1)")
     p.add_argument("--snr-grid-db", type=_ebn0_grid, required=True)
-    # a string default goes through ``type``, so a bad NOMA_UPLINK_SEED is a
-    # usage error of this subcommand only
-    p.add_argument("--seed", type=_seed,
-                   default=os.environ.get("NOMA_UPLINK_SEED", SimConfig.seed))
+    p.add_argument("--seed", type=_seed, default=SimConfig.seed)
     p.add_argument("--min-errors", type=_count, default=SimConfig.min_bit_errors)
     p.add_argument("--max-codewords", type=_count, default=SimConfig.max_codewords)
     p.add_argument("--workers", type=_count, default=SimConfig.workers)

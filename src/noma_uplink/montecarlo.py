@@ -90,7 +90,7 @@ def run_ber_point(cfg, alpha, ebn0_db):
     alpha = validate_alpha(alpha)
     nm = NoiseModel.from_ebn0_db(ebn0_db)
     c = build_constellation(cfg.kind)
-    key = point_stream_key(cfg.seed, alpha, ebn0_db)
+    key = point_stream_key(cfg.seed, alpha, nm.ebn0_db)
 
     def slice_errors(lo, block_stop):
         """Bit errors in trials ``[lo, min(lo + SLICE, block_stop))``."""
@@ -115,7 +115,7 @@ def run_ber_point(cfg, alpha, ebn0_db):
     ci = 1.96 * math.sqrt(ber * (1.0 - ber) / bits)
     return BerPoint(
         alpha=alpha,
-        ebn0_db=float(ebn0_db),
+        ebn0_db=nm.ebn0_db,
         bit_errors=errors,
         bits_simulated=bits,
         ber=ber,

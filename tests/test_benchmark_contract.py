@@ -9,9 +9,9 @@ package as ``nu.<name>``, so every such name must stay a package attribute.
 ``perfbench/run.py`` checks the Monte Carlo points against ``reference.json``
 at the pinned seed; the shorter of those points are re-run here.
 The names the scripts under ``demos/`` import from the package are checked
-here too, and the package's public names are pinned. The two bound-only
-demos take about half a second each and are run end to end; the two Monte
-Carlo demos take about a minute each and are not.
+here too, and the package's public names are pinned. Every demo is run
+end to end: the two bound-only demos take about half a second each, the two
+Monte Carlo demos one to three seconds each.
 """
 
 import ast
@@ -124,12 +124,28 @@ def test_public_names_are_pinned():
     ]
 
 
+def _demo_lines(demo, cwd):
+    proc = subprocess.run([sys.executable, str(_DEMOS / demo)], capture_output=True, text=True,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": str(_SRC)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 @pytest.mark.parametrize("demo,line", [
     ("pep_table.py", "imbalance penalty: 6.9x"),
     ("balance_optimality.py", "raises the bound, at every SNR and for both constellations."),
 ])
-def test_bound_only_demo_runs(demo, line):
-    proc = subprocess.run([sys.executable, str(_DEMOS / demo)], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(_SRC)}, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert line in proc.stdout.splitlines()
+def test_bound_only_demo_runs(tmp_path, demo, line):
+    assert line in _demo_lines(demo, tmp_path)
+
+
+@pytest.mark.parametrize("demo,line", [
+    ("ml_vs_sic.py", "   24dB              5.846e-04              6.763e-03   11.6x"),
+    ("ber_vs_snr.py",
+     "   24dB     7.81e-05   1.35e-04    6.41e-04   9.97e-04    1.94e-03   3.53e-03"),
+])
+def test_monte_carlo_demo_runs(tmp_path, demo, line):
+    # The 24 dB row is the last one printed, after every sweep has finished.
+    # The demo runs in tmp_path, where ber_vs_snr.py saves its plot when
+    # matplotlib is installed.
+    assert line in _demo_lines(demo, tmp_path)

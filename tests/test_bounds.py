@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from noma_uplink import (
     TABLE_ALPHAS,
+    NoiseModel,
     build_constellation,
     error_event_pep_table,
     event_norm,
@@ -193,6 +194,10 @@ class TestSymmetryGaps:
             symmetry_gaps(1, 2, 0.9)
         with pytest.raises(ValueError):
             symmetry_gaps(2, 2j, 0.9)  # equal magnitudes
+
+    def test_rejects_balanced_alpha(self):
+        with pytest.raises(ValueError, match="alpha > 1/2"):
+            symmetry_gaps(2, 0, 0.5)
 
 
 class TestPairwiseSumExcess:
@@ -375,5 +380,11 @@ class TestOptimalAlpha:
             optimal_alpha(QPSK, 0.01, [])
 
     def test_tie_breaks_toward_smaller_alpha(self):
-        # Duplicate grid entries tie exactly; the smaller (identical) alpha wins.
-        assert optimal_alpha(QPSK, 0.01, [0.7, 0.5, 0.5]) == 0.5
+        # At -300 dB every PEP bound is 1, so every alpha ties at the bound 8;
+        # the smallest wins, whatever the grid order.
+        n0 = NoiseModel.from_ebn0_db(-300).n0
+        assert union_bound_value(QPSK, 0.9, n0) == union_bound_value(QPSK, 0.5, n0) == 8.0
+        assert optimal_alpha(QPSK, n0, [0.9, 0.7, 0.5]) == 0.5
+        # the grid is an alpha list, so a repeat is rejected as everywhere else
+        with pytest.raises(ValueError, match="alphas must not repeat"):
+            optimal_alpha(QPSK, 0.01, [0.7, 0.5, 0.5])

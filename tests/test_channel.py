@@ -86,9 +86,6 @@ def test_seed_validation():
 def test_noise_model_snr_mapping():
     nm = NoiseModel.from_ebn0_db(20.0)
     assert nm.n0 == pytest.approx(0.01, rel=1e-15)
-    assert NoiseModel.from_n0(0.01).ebn0_db == pytest.approx(20.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        NoiseModel.from_n0(0.0)
     assert validate_n0(0.01) == 0.01
     with pytest.raises(ValueError):
         validate_n0(0.0)
@@ -104,7 +101,7 @@ def test_noise_model_rejects_non_finite_ebn0(ebn0_db):
 @pytest.mark.parametrize("n0", [math.nan, math.inf, -1.0, 0.0])
 def test_noise_model_rejects_non_finite_n0(n0):
     with pytest.raises(ValueError):
-        NoiseModel.from_n0(n0)
+        NoiseModel(20.0, n0)
     with pytest.raises(ValueError):
         validate_n0(n0)
     c = build_constellation("qpsk")

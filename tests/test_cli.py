@@ -46,12 +46,30 @@ def test_choices_are_the_library_lists():
 
 
 def test_ber_defaults_are_simconfig_fields(monkeypatch):
-    monkeypatch.delenv("NOMA_UPLINK_SEED", raising=False)
+    # the environment sets no default: --seed is the one way to pick a seed
+    monkeypatch.setenv("NOMA_UPLINK_SEED", "99")
     args = build_parser().parse_args(["ber", "--constellation", "qpsk", "--alpha-list", "0.5",
                                       "--snr-grid-db", "4", "--out", "x.csv"])
     cfg = SimConfig()
     assert (args.detector, args.seed, args.min_errors, args.max_codewords, args.workers) == (
         cfg.detector, cfg.seed, cfg.min_bit_errors, cfg.max_codewords, cfg.workers)
+
+
+@pytest.mark.parametrize("args", [
+    ["table1", "--snr-db", "{}"],
+    ["bound", "--constellation", "qpsk", "--alpha-grid", "0.5,0.9", "--snr-grid-db", "{}"],
+    ["ber", "--constellation", "qpsk", "--alpha-list", "0.5", "--snr-grid-db", "{}",
+     "--max-codewords", "10000"],
+], ids=["table1", "bound", "ber"])
+def test_negative_zero_db_is_zero_db(tmp_path, capsys, args):
+    # -0 and 0 are one operating point, so every row, manifest and printed
+    # line reads 0, never -0
+    out = tmp_path / "x.csv"
+    runs = []
+    for snr in ("-0", "0"):
+        assert run_cli([a.format(snr) for a in args] + ["--out", str(out)]) == 0
+        runs.append((strip_timestamp(out), capsys.readouterr().out))
+    assert runs[0] == runs[1]
 
 
 class TestConstellationDump:
@@ -97,26 +115,15 @@ class TestTable1:
         assert footer["abep_bound_alpha_0.5"]["pep_alpha_0.5"] == bound[0.5]
         assert footer["abep_bound_alpha_0.9"]["pep_alpha_0.9"] == bound[0.9]
 
-    def test_n0_and_snr_flags_give_identical_files(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli(["table1", "--n0", "0.01", "--out", str(a)])
-        run_cli(["table1", "--snr-db", "20", "--out", str(b)])
-        assert strip_timestamp(a) == strip_timestamp(b)
-
     def test_missing_flags_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["table1", "--out", str(tmp_path / "x.csv")])
-        assert exc.value.code == 2
-        assert "usage" in capsys.readouterr().err
+        # --snr-db is required, and there is no --n0 to give instead
+        for extra in ([], ["--n0", "0.01"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["table1", *extra, "--out", str(tmp_path / "x.csv")])
+            assert exc.value.code == 2
+            assert "usage" in capsys.readouterr().err
 
-    def test_both_flags_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["table1", "--n0", "0.01", "--snr-db", "20",
-                     "--out", str(tmp_path / "x.csv")])
-        assert exc.value.code == 2
-
-    @pytest.mark.parametrize("flag,value", [("--n0", "nan"), ("--n0", "inf"), ("--n0", "0"),
-                                            ("--snr-db", "nan"), ("--snr-db", "inf")])
+    @pytest.mark.parametrize("flag,value", [("--snr-db", "nan"), ("--snr-db", "inf")])
     def test_non_finite_noise_usage_error(self, tmp_path, flag, value):
         with pytest.raises(SystemExit) as exc:
             run_cli(["table1", flag, value, "--out", str(tmp_path / "x.csv")])
@@ -169,6 +176,17 @@ class TestBound:
         with pytest.raises(SystemExit) as exc:
             run_cli(["bound", "--constellation", "qpsk", "--alpha-grid", alphas,
                      "--snr-grid-db", grid, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alphas,message", [
+        ("0.5:0.9", "grid must be start:stop:step or a comma list"),
+        ("0.5,x", "bad grid value"),
+    ])
+    def test_malformed_grid_rejected(self, tmp_path, capsys, alphas, message):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["bound", "--constellation", "qpsk", "--alpha-grid", alphas,
+                     "--snr-grid-db", "20", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
@@ -232,39 +250,12 @@ class TestBer:
         assert rows[0]["status"] == "upper-bound-only"
         assert float(rows[0]["ber"]) == 0.0
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        args = ["ber", "--constellation", "qpsk", "--alpha-list", "0.5",
-                "--snr-grid-db", "4", "--min-errors", "20", "--max-codewords", "20000"]
-        default = tmp_path / "default.csv"
-        run_cli(args + ["--out", str(default)])
-        monkeypatch.setenv("NOMA_UPLINK_SEED", "99")
-        via_env = tmp_path / "env.csv"
-        run_cli(args + ["--out", str(via_env)])
-        explicit = tmp_path / "explicit.csv"
-        run_cli(args + ["--seed", "99", "--out", str(explicit)])
-        assert strip_timestamp(via_env) == strip_timestamp(explicit)
-        assert strip_timestamp(via_env) != strip_timestamp(default)
-
-    def test_bad_seed_env_is_ber_usage_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NOMA_UPLINK_SEED", "abc")
-        assert run_cli(["constellation", "--kind", "qpsk",
-                        "--out", str(tmp_path / "c.csv")]) == 0
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_uint64_is_usage_error(self, tmp_path, seed):
+        # a seed outside [0, 2**64) would alias one inside it
         with pytest.raises(SystemExit) as exc:
             run_cli(["ber", "--constellation", "qpsk", "--alpha-list", "0.5",
-                     "--snr-grid-db", "4", "--out", str(tmp_path / "x.csv")])
-        assert exc.value.code == 2
-
-    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
-    def test_seed_outside_uint64_is_usage_error(self, tmp_path, monkeypatch, seed):
-        # a seed outside [0, 2**64) would alias one inside it
-        args = ["ber", "--constellation", "qpsk", "--alpha-list", "0.5",
-                "--snr-grid-db", "4", "--out", str(tmp_path / "x.csv")]
-        with pytest.raises(SystemExit) as exc:
-            run_cli(args + ["--seed", seed])
-        assert exc.value.code == 2
-        monkeypatch.setenv("NOMA_UPLINK_SEED", seed)
-        with pytest.raises(SystemExit) as exc:
-            run_cli(args)
+                     "--snr-grid-db", "4", "--seed", seed, "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag", ["--workers", "--min-errors", "--max-codewords"])

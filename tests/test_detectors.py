@@ -85,6 +85,14 @@ def scaled_codewords(c, alpha):
     return i1, i2, math.sqrt(alpha) * p[i1], math.sqrt(1.0 - alpha) * p[i2]
 
 
+def test_unknown_detector_rejected():
+    c = build_constellation("qpsk")
+    u = trial_stream(21).random((4, DRAWS_PER_TRIAL))
+    _, _, h, r = synthesize(u, c, 0.9, 0.01)
+    with pytest.raises(ValueError, match="unknown detector 'mmse'"):
+        detect("mmse", r, h, 0.9, c)
+
+
 def test_ml_zero_noise_recovers_transmitted():
     c = build_constellation("qpsk")
     u = trial_stream(21).random((20, DRAWS_PER_TRIAL))

@@ -154,7 +154,10 @@ class TestDeterminism:
         # -0.0 and 0.0 are one value, so they key one stream.
         assert point_stream_key(314159, 0.9, -0.0) == point_stream_key(314159, 0.9, 0.0)
         cfg = small_cfg()
-        assert run_ber_point(cfg, 0.9, -0.0) == run_ber_point(cfg, 0.9, 0.0)
+        negative_zero = run_ber_point(cfg, 0.9, -0.0)
+        assert negative_zero == run_ber_point(cfg, 0.9, 0.0)
+        # == cannot tell -0.0 from 0.0; the point reports 0
+        assert math.copysign(1.0, negative_zero.ebn0_db) == 1.0
 
     def test_different_seeds_differ(self):
         a = run_ber_point(small_cfg(), 0.9, 8.0)
@@ -275,6 +278,10 @@ class TestDegradation:
         curve = self.make_curve(0.5, [(10.0, 1e-2), (20.0, 1e-4)])
         # log-linear: 1e-3 sits exactly halfway between 1e-2 and 1e-4
         assert crossing_from_pairs(pairs_of(curve), 1e-3) == pytest.approx(15.0, rel=1e-12)
+
+    def test_crossing_on_flat_segment_is_its_start(self):
+        # a segment that sits at the target brackets it without a slope
+        assert crossing_from_pairs([(10.0, 1e-3), (12.0, 1e-3), (20.0, 1e-5)], 1e-3) == 10.0
 
     def test_self_degradation_is_zero(self):
         curve = self.make_curve(0.5, [(10.0, 1e-2), (20.0, 1e-4)])
