@@ -30,9 +30,10 @@ CLI, ``SimConfig``, ``BerCurve``, ``bounds``, ``synthesize``) calls it:
 ``validate_alpha`` for one alpha, ``validate_alphas`` for an alpha list (not
 empty, no repeats), ``validate_n0`` for the noise parameter, ``NoiseModel``
 for one operating point, ``validate_ebn0_grid`` for an Eb/N0 grid (not
-empty, strictly increasing), ``validate_count`` for a trial, error or worker
-count (a positive integer) and ``validate_seed`` for a master seed (an
-integer in [0, 2**64)).
+empty, strictly increasing) and ``validate_count`` for a trial, error or
+worker count (a positive integer). The master-seed rule, ``validate_seed``
+(an integer in [0, 2**64)), lives in ``rng`` beside the stream key it
+guards.
 """
 
 import math
@@ -67,13 +68,6 @@ def validate_count(n):
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"count must be a positive integer, got {n!r}")
     return int(n)
-
-
-def validate_seed(seed):
-    """Check a master seed is an integer in [0, 2**64), not a bool; return it as int."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return int(seed)
 
 
 def validate_n0(n0):

@@ -16,8 +16,8 @@ comparable. Exit codes: 0 success, 2 usage error, 3 runtime/config error.
 
 The CLI parses arguments and formats output; the library decides: the sweep
 order and ``ber`` defaults in ``montecarlo``, the alpha argmin in ``bounds``
-and every input check in ``channel``. Each operating point is an Eb/N0 in
-dB, and the one Monte Carlo seed is ``ber --seed``.
+and every input check in ``channel`` (the seed's in ``rng``). Each operating
+point is an Eb/N0 in dB, and the one Monte Carlo seed is ``ber --seed``.
 """
 
 import argparse
@@ -30,10 +30,10 @@ from . import __version__
 from .bounds import TABLE_ALPHAS, error_event_pep_table, optimal_alpha, union_bound_value
 from .constellation import KINDS, build_constellation
 from .channel import (NoiseModel, validate_alpha, validate_alphas, validate_count,
-                      validate_ebn0_grid, validate_seed)
+                      validate_ebn0_grid)
 from .detectors import DETECTORS
 from .montecarlo import SimConfig, crossing_from_pairs, sweep_points
-from .rng import RNG_ALGORITHM
+from .rng import RNG_ALGORITHM, validate_seed
 
 _SCHEMA_PREFIX = "noma-uplink"
 _BER_COLUMNS = ("alpha", "ebn0_db", "ber", "ci95_halfwidth", "bit_errors",

@@ -18,21 +18,24 @@ min_bit_errors, max_codewords): the worker count never changes the result.
   Slices of one block run across the pool; nothing past the stop index is
   computed.
 
-If ``max_codewords`` runs out with zero errors the point is returned with
-ber = 0 and status ``"upper-bound-only"``: the estimate is only an upper
-bound witness, not a rate.
+A ``BerPoint`` holds what the run chose and counted: (alpha, ebn0_db, kind,
+seed, bit_errors, codewords_used). Its stream key, bits simulated, BER, 95%
+CI half-width and status are derived from those in ``BerPoint`` alone, so a
+point cannot contradict itself. If ``max_codewords`` runs out with zero
+errors the point has ber = 0 and status ``"upper-bound-only"``: the
+estimate is only an upper bound witness, not a rate.
 """
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice, repeat
 
 from .channel import (NoiseModel, synthesize, validate_alpha, validate_alphas, validate_count,
-                      validate_ebn0_grid, validate_seed)
+                      validate_ebn0_grid)
 from .constellation import build_constellation
 from .detectors import DETECTORS, detect
-from .rng import DRAWS_PER_TRIAL, point_stream_key, trial_stream
+from .rng import DRAWS_PER_TRIAL, point_stream_key, trial_stream, validate_seed
 
 TRIALS_PER_BLOCK = 10_000
 # Trials drawn and detected as one batch; a block is split into such slices.
@@ -66,23 +69,40 @@ class SimConfig:
 class BerPoint:
     alpha: float
     ebn0_db: float
-    bit_errors: int
-    bits_simulated: int
-    ber: float
-    ci95_halfwidth: float
+    kind: str
     seed: int
-    stream_key: int
+    bit_errors: int
     codewords_used: int
-    status: str  # "ok" | "upper-bound-only"
+    stream_key: int = field(init=False)
+    bits_simulated: int = field(init=False)
+    ber: float = field(init=False)
+    ci95_halfwidth: float = field(init=False)
+    status: str = field(init=False)  # "ok" | "upper-bound-only"
+
+    def __post_init__(self):
+        # the one estimator: each field below is a function of the fields above
+        c = build_constellation(self.kind)  # the one kind rule
+        bits = validate_count(self.codewords_used) * 2 * c.bits_per_symbol
+        ber = self.bit_errors / bits
+        key = point_stream_key(self.seed, self.alpha, self.ebn0_db)
+        object.__setattr__(self, "stream_key", key)
+        object.__setattr__(self, "bits_simulated", bits)
+        object.__setattr__(self, "ber", ber)
+        object.__setattr__(self, "ci95_halfwidth", 1.96 * math.sqrt(ber * (1.0 - ber) / bits))
+        object.__setattr__(self, "status", "ok" if self.bit_errors > 0 else "upper-bound-only")
 
 
 @dataclass(frozen=True)
 class BerCurve:
-    alpha: float
+    alpha: float = field(init=False)
     points: tuple
 
     def __post_init__(self):
         validate_ebn0_grid(p.ebn0_db for p in self.points)
+        alphas = {p.alpha for p in self.points}
+        if len(alphas) != 1:
+            raise ValueError(f"a curve's points must share one alpha, got {sorted(alphas)}")
+        object.__setattr__(self, "alpha", alphas.pop())
 
 
 def run_ber_point(cfg, alpha, ebn0_db):
@@ -108,23 +128,8 @@ def run_ber_point(cfg, alpha, ebn0_db):
             errors += sum(pool.map(slice_errors, range(first, trials, SLICE), repeat(trials)))
             if errors >= cfg.min_bit_errors:
                 break
-
-    bits_per_codeword = 2 * c.bits_per_symbol
-    bits = trials * bits_per_codeword
-    ber = errors / bits
-    ci = 1.96 * math.sqrt(ber * (1.0 - ber) / bits)
-    return BerPoint(
-        alpha=alpha,
-        ebn0_db=nm.ebn0_db,
-        bit_errors=errors,
-        bits_simulated=bits,
-        ber=ber,
-        ci95_halfwidth=ci,
-        seed=cfg.seed,
-        stream_key=key,
-        codewords_used=trials,
-        status="ok" if errors > 0 else "upper-bound-only",
-    )
+    return BerPoint(alpha=alpha, ebn0_db=nm.ebn0_db, kind=cfg.kind, seed=cfg.seed,
+                    bit_errors=errors, codewords_used=trials)
 
 
 def sweep_points(cfg):
@@ -138,7 +143,7 @@ def sweep(cfg):
     """One BerCurve per alpha in ``cfg.alphas`` over ``cfg.ebn0_db_grid``."""
     points = sweep_points(cfg)
     n = len(cfg.ebn0_db_grid)
-    return [BerCurve(alpha=a, points=tuple(islice(points, n))) for a in cfg.alphas]
+    return [BerCurve(tuple(islice(points, n))) for _ in cfg.alphas]
 
 
 def crossing_from_pairs(pairs, target_ber):

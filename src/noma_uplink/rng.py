@@ -16,6 +16,7 @@ Normal variates are produced by the inverse-CDF transform of uniforms
 (``scipy.special.ndtri``), which consumes exactly one uniform per normal.
 """
 
+import numbers
 import struct
 
 import numpy as np
@@ -45,15 +46,23 @@ def _float_bits(x):
     return struct.unpack("<Q", struct.pack("<d", float(x) + 0.0))[0]
 
 
+def validate_seed(seed):
+    """Check a master seed is an integer in [0, 2**64), not a bool; return it as int."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
+
+
 def point_stream_key(master_seed, alpha, ebn0_db):
     """Stream key for one (alpha, Eb/N0) simulation point.
 
     Keyed on the IEEE bit patterns of the parameter values so the stream is
     a pure function of (seed, alpha, ebn0_db); -0.0 is keyed as 0.0, its
-    equal value. Chained splitmix64:
-    k = sm64(seed); k = sm64(k ^ field) for each field.
+    equal value. The seed must pass ``validate_seed``, so no two seeds share
+    a key. Chained splitmix64: k = sm64(seed); k = sm64(k ^ field) for each
+    field.
     """
-    key = _splitmix64(int(master_seed) & _MASK64)
+    key = _splitmix64(validate_seed(master_seed))
     for field in (0x4245_5250, _float_bits(alpha), _float_bits(ebn0_db)):
         key = _splitmix64(key ^ field)
     return key

@@ -7,7 +7,9 @@ its Monte Carlo workloads to ``SimConfig`` as keyword fields, so removing or
 renaming a field would break the benchmark. ``perfbench/child.py`` calls the
 package as ``nu.<name>``, so every such name must stay a package attribute.
 ``perfbench/run.py`` checks the Monte Carlo points against ``reference.json``
-at the pinned seed; the shorter of those points are re-run here.
+at the pinned seed; the shorter of those points are re-run here. It reads
+each point as the ``dataclasses.asdict`` dict that ``child.py`` writes, so
+every key it reads must be a ``BerPoint`` field.
 The names the scripts under ``demos/`` import from the package are checked
 here too, and the package's public names are pinned. Every demo is run
 end to end: the two bound-only demos take about half a second each, the two
@@ -15,6 +17,7 @@ Monte Carlo demos one to three seconds each.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -29,6 +32,7 @@ import pytest
 
 import noma_uplink
 from noma_uplink import SimConfig
+from noma_uplink.cli import _BER_COLUMNS
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 _DEMOS = Path(__file__).resolve().parents[1] / "demos"
@@ -98,6 +102,17 @@ def test_child_uses_only_package_attributes():
     used.discard("__file__")
     assert used, "child.py no longer calls the package as nu.<name>"
     assert sorted(n for n in used if not hasattr(noma_uplink, n)) == []
+
+
+def test_point_record_has_the_keys_its_readers_read():
+    # child.py serialises each point with dataclasses.asdict and run.py reads
+    # the dict; the ber CSV reads the same fields by name. A derived field
+    # turned into a property would drop out of asdict and break run.py only.
+    read = set(re.findall(r'p\["(\w+)"\]', (_PERFBENCH / "run.py").read_text()))
+    read.discard("bound")  # child.py adds it beside the point's own fields
+    assert read, "run.py no longer reads points as p[\"<key>\"]"
+    p = noma_uplink.run_ber_point(SimConfig(max_codewords=1), 0.5, 10.0)
+    assert sorted(read.union(_BER_COLUMNS).difference(dataclasses.asdict(p))) == []
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in _DEMOS.glob("*.py")))

@@ -19,9 +19,9 @@ from noma_uplink import (
     synthesize,
     validate_alpha,
 )
-from noma_uplink.channel import validate_alphas, validate_ebn0_grid, validate_n0, validate_seed
+from noma_uplink.channel import validate_alphas, validate_ebn0_grid, validate_n0
 from noma_uplink.detectors import DETECTORS
-from noma_uplink.rng import DRAWS_PER_TRIAL, normals_from_uniforms, trial_stream
+from noma_uplink.rng import DRAWS_PER_TRIAL, normals_from_uniforms, trial_stream, validate_seed
 
 # Channel uniforms of a diagonal channel: h11 = h22 = ndtri(0.9)/sqrt(2) > 0,
 # real, and h12 = h21 = 0, so r_i = h_ii * (scaled symbol of user i).

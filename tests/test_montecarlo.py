@@ -136,6 +136,14 @@ class TestDeterminism:
         part = trial_stream(key, first).random((n, DRAWS_PER_TRIAL))
         assert np.array_equal(part, whole[first:])
 
+    @pytest.mark.parametrize("seed", [-1, 1.9, True, 2**64])
+    def test_stream_key_rejects_seed_outside_rule(self, seed):
+        # each of these once aliased a valid seed's key: -1 that of 2**64 - 1,
+        # 1.9 and True that of 1
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            point_stream_key(seed, 0.5, 10.0)
+        assert point_stream_key(2**64 - 1, 0.5, 10.0) == 1784803863217284409
+
     @pytest.mark.parametrize("workers", [2, 8])
     def test_worker_invariance(self, workers):
         ref = run_ber_point(small_cfg(workers=1), 0.5, 10.0)
@@ -264,15 +272,45 @@ def pairs_of(curve):
     return [(p.ebn0_db, p.ber) for p in curve.points]
 
 
+def counted_point(alpha=0.5, ebn0_db=10.0, bit_errors=100, codewords_used=2_500, kind="qpsk"):
+    """A point built from counts, as ``run_ber_point`` builds one."""
+    return BerPoint(alpha=alpha, ebn0_db=ebn0_db, kind=kind, seed=0, bit_errors=bit_errors,
+                    codewords_used=codewords_used)
+
+
+class TestPointRecord:
+    def test_settable_fields_are_the_counts(self):
+        # everything else is derived, so a derived field cannot be set apart from its counts
+        assert [f.name for f in dataclasses.fields(BerPoint) if f.init] == [
+            "alpha", "ebn0_db", "kind", "seed", "bit_errors", "codewords_used"]
+        p = counted_point()
+        assert (p.bits_simulated, p.ber, p.status) == (10_000, 1e-2, "ok")
+        assert p.stream_key == point_stream_key(0, 0.5, 10.0)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(p, ber=0.0)
+        assert dataclasses.replace(p, bit_errors=0).status == "upper-bound-only"
+
+    def test_rejects_unknown_kind_and_empty_run(self):
+        with pytest.raises(ValueError, match="unsupported constellation kind"):
+            counted_point(kind="qam64")
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            counted_point(codewords_used=0)
+
+    def test_curve_reads_one_alpha_from_its_points(self):
+        assert BerCurve((counted_point(0.9, 10.0), counted_point(0.9, 20.0))).alpha == 0.9
+        with pytest.raises(ValueError, match="share one alpha"):
+            BerCurve((counted_point(0.5, 10.0), counted_point(0.9, 20.0)))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            BerCurve((counted_point(0.5, 20.0), counted_point(0.5, 10.0)))
+
+
 class TestDegradation:
     def make_curve(self, alpha, pairs):
-        pts = tuple(
-            BerPoint(alpha=alpha, ebn0_db=s, bit_errors=100, bits_simulated=int(100 / b),
-                     ber=b, ci95_halfwidth=0.0, seed=0, stream_key=0,
-                     codewords_used=1, status="ok")
-            for s, b in pairs
-        )
-        return BerCurve(alpha=alpha, points=pts)
+        # QPSK: 100 errors in round(25 / b) codewords of 4 bits give ber == b exactly
+        curve = BerCurve(tuple(counted_point(alpha, s, codewords_used=round(25 / b))
+                               for s, b in pairs))
+        assert pairs_of(curve) == pairs
+        return curve
 
     def test_crossing_log_linear(self):
         curve = self.make_curve(0.5, [(10.0, 1e-2), (20.0, 1e-4)])
@@ -301,8 +339,7 @@ class TestDegradation:
 
     def test_zero_ber_points_are_ignored_for_crossing(self):
         curve = self.make_curve(0.5, [(10.0, 1e-2), (20.0, 1e-4)])
-        zero_pt = BerPoint(alpha=0.5, ebn0_db=30.0, bit_errors=0, bits_simulated=1000,
-                           ber=0.0, ci95_halfwidth=0.0, seed=0, stream_key=0,
-                           codewords_used=250, status="upper-bound-only")
-        curve2 = BerCurve(alpha=0.5, points=curve.points + (zero_pt,))
+        zero_pt = counted_point(0.5, 30.0, bit_errors=0, codewords_used=250)
+        assert (zero_pt.ber, zero_pt.status) == (0.0, "upper-bound-only")
+        curve2 = BerCurve(curve.points + (zero_pt,))
         assert crossing_from_pairs(pairs_of(curve2), 1e-3) == pytest.approx(15.0, rel=1e-12)
