@@ -60,7 +60,7 @@ power of two does not round.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -142,7 +142,7 @@ def pairwise_sum_excess(u, v, alpha, n0):
     return pep_bound(d2_a, n0) + pep_bound(d2_b, n0) - 2.0 * pep_bound(d2_balanced, n0)
 
 
-@lru_cache(maxsize=4)
+@cache
 def _distance_spectrum(c):
     """Union-bound terms ``(|u|^2, |v|^2, n_bits, scale)`` of constellation ``c``.
 
@@ -159,7 +159,10 @@ def _distance_spectrum(c):
     events = np.stack([abs2[pair1], abs2[pair2], bits[pair1] + bits[pair2]], axis=1)
     # Distinct labels differ in some bit, so only the identity pair has
     # n_bits = 0. Rows are grouped by their bytes: every entry is a finite
-    # float >= +0.0, for which equal bytes and equal values coincide.
+    # float >= +0.0, for which equal bytes and equal values coincide. One
+    # 24-byte void per row sorts as a 1-D array: np.unique(events, axis=0)
+    # finds the same 168 16QAM classes about five times slower, and every
+    # 16QAM run builds this spectrum in its setup.
     rows = events[events[:, 2] > 0].view(np.dtype((np.void, 24)))
     classes, counts = np.unique(rows.ravel(), return_counts=True)
     powers = np.arange(int(counts.max()).bit_length())
@@ -201,8 +204,8 @@ _QPSK_TABLE_EVENTS = ((2, 0), (0, 2), (1, 0), (0, 1), (2, 2), (2, 1), (1, 2), (1
 TABLE_ALPHAS = (0.5, 0.9)
 
 
-def error_event_pep_table(n0=0.01):
-    """The 15-row QPSK error-event table: norms and PEP bounds at ``TABLE_ALPHAS``.
+def error_event_pep_table(n0):
+    """The 15-row QPSK error-event table: norms and noise-``n0`` PEP bounds at ``TABLE_ALPHAS``.
 
     Rows are labeled E1..E15 in the fixed order above, for the transmitted
     codeword (1+1j, 1+1j); by symmetry the QPSK PEP set is the same for

@@ -28,12 +28,12 @@ call, as six ``complex128`` values, real part first.
 Each input rule is checked in one place, here, and every entry point (the
 CLI, ``SimConfig``, ``BerCurve``, ``bounds``, ``synthesize``) calls it:
 ``validate_alpha`` for one alpha, ``validate_alphas`` for an alpha list (not
-empty, no repeats), ``validate_n0`` for the noise parameter, ``NoiseModel``
-for one operating point, ``validate_ebn0_grid`` for an Eb/N0 grid (not
-empty, strictly increasing) and ``validate_count`` for a trial, error or
-worker count (a positive integer). The master-seed rule, ``validate_seed``
-(an integer in [0, 2**64)), lives in ``rng`` beside the stream key it
-guards.
+a string, not empty, no repeats), ``validate_n0`` for the noise parameter,
+``NoiseModel`` for one operating point, ``validate_ebn0_grid`` for an Eb/N0
+grid (not a string, not empty, strictly increasing) and ``validate_count``
+for a trial, error or worker count (a positive integer). The master-seed
+rule, ``validate_seed`` (an integer in [0, 2**64)), lives in ``rng`` beside
+the stream key it guards.
 """
 
 import math
@@ -53,9 +53,16 @@ def validate_alpha(alpha):
     return a
 
 
+def _numbers(values, name):
+    # a str or bytes is iterable, but its items are characters or byte codes, not numbers
+    if isinstance(values, (str, bytes)):
+        raise ValueError(f"{name} must be a sequence of numbers, not a string: {values!r}")
+    return values
+
+
 def validate_alphas(values):
-    """Check an alpha list: not empty, each value valid, none repeated; return the floats."""
-    alphas = tuple(validate_alpha(a) for a in values)
+    """Check an alpha list: not a string or empty, each valid, none repeated; return the floats."""
+    alphas = tuple(validate_alpha(a) for a in _numbers(values, "alphas"))
     if not alphas:
         raise ValueError("alphas must not be empty")
     if len(set(alphas)) != len(alphas):
@@ -103,8 +110,8 @@ class NoiseModel:
 
 
 def validate_ebn0_grid(values):
-    """Check an Eb/N0 grid: not empty, valid points, strictly increasing; return the floats."""
-    grid = tuple(NoiseModel.from_ebn0_db(s).ebn0_db for s in values)
+    """Check an Eb/N0 grid: not a string or empty, valid, strictly increasing; return floats."""
+    grid = tuple(NoiseModel.from_ebn0_db(s).ebn0_db for s in _numbers(values, "ebn0_db_grid"))
     if not grid:
         raise ValueError("ebn0_db_grid must not be empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):

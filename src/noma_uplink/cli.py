@@ -217,21 +217,19 @@ def _cmd_ber(args):
 
 
 def read_ber_csv(path):
-    """Parse a ber-subcommand CSV (status column included) into alpha/ebn0_db/ber dicts."""
+    """Parse a ber-subcommand CSV into ``{alpha: [(ebn0_db, ber), ...]}``, rows in file order."""
     schema = None
-    rows = []
+    data_lines = []
     with open(path, newline="") as fh:
-        data_lines = []
         for line in fh:
-            if line.startswith("#"):
-                if line.startswith("# schema="):
-                    schema = line.split("=", 1)[1].strip()
-                continue
-            if line.strip():
+            if line.startswith("# schema="):
+                schema = line.split("=", 1)[1].strip()
+            elif not line.startswith("#") and line.strip():
                 data_lines.append(line)
     if schema != f"{_SCHEMA_PREFIX}/ber/v1":
         raise ValueError(f"{path}: not a noma-uplink ber CSV (schema={schema!r})")
     reader = csv.DictReader(data_lines)
+    curves = {}
     try:
         missing = {"alpha", "ebn0_db", "ber", "status"}.difference(reader.fieldnames or ())
         if missing:
@@ -243,35 +241,29 @@ def read_ber_csv(path):
             ber = float(rec["ber"])
             if not 0.0 <= ber <= 1.0:
                 raise ValueError(f"ber must lie in [0, 1], got {rec['ber']}")
-            rows.append({
-                "alpha": validate_alpha(rec["alpha"]),
-                "ebn0_db": NoiseModel.from_ebn0_db(rec["ebn0_db"]).ebn0_db,
-                "ber": ber,
-            })
+            alpha = validate_alpha(rec["alpha"])
+            ebn0_db = NoiseModel.from_ebn0_db(rec["ebn0_db"]).ebn0_db
+            curves.setdefault(alpha, []).append((ebn0_db, ber))
         # ber writes each alpha's Eb/N0 grid in order, so a repeat is malformed
-        for alpha in {r["alpha"] for r in rows}:
-            validate_ebn0_grid(r["ebn0_db"] for r in rows if r["alpha"] == alpha)
+        for pairs in curves.values():
+            validate_ebn0_grid(s for s, _ in pairs)
     except (ValueError, csv.Error) as exc:  # csv.Error: e.g. a cell over the field size limit
         raise ValueError(f"{path}: {exc}") from None
-    return rows
+    return curves
 
 
 def _cmd_degradation(args):
-    by_alpha = {}
-    for r in read_ber_csv(args.input):
-        by_alpha.setdefault(r["alpha"], []).append((r["ebn0_db"], r["ber"]))
-    alphas = sorted(by_alpha)
-    if args.reference_alpha not in by_alpha:
-        raise ValueError(
-            f"reference alpha {args.reference_alpha:g} not present in {args.input} "
-            f"(found: {', '.join(f'{a:g}' for a in alphas)})")
-    ref_cross = crossing_from_pairs(by_alpha[args.reference_alpha], args.target_ber)
+    curves = read_ber_csv(args.input)
+    if args.reference_alpha not in curves:
+        raise ValueError(f"reference alpha {args.reference_alpha:g} not present in {args.input} "
+                         f"(found: {', '.join(f'{a:g}' for a in sorted(curves))})")
+    crossings = {a: crossing_from_pairs(pairs, args.target_ber) for a, pairs in curves.items()}
+    ref_cross = crossings[args.reference_alpha]
 
     print(f"SNR degradation at BER = {args.target_ber:g} "
           f"(reference alpha = {args.reference_alpha:g})")
     print(f"{'alpha':>8}  {'ebn0_at_target_db':>18}  {'degradation_db':>15}")
-    for a in alphas:
-        cross = crossing_from_pairs(by_alpha[a], args.target_ber)
+    for a, cross in sorted(crossings.items()):
         if cross is None or ref_cross is None:
             print(f"{a:>8g}  {'--':>18}  {'insufficient range':>15}")
         else:

@@ -19,14 +19,17 @@ min_bit_errors, max_codewords): the worker count never changes the result.
   computed.
 
 A ``BerPoint`` holds what the run chose and counted: (alpha, ebn0_db, kind,
-seed, bit_errors, codewords_used). Its stream key, bits simulated, BER, 95%
-CI half-width and status are derived from those in ``BerPoint`` alone, so a
-point cannot contradict itself. If ``max_codewords`` runs out with zero
-errors the point has ber = 0 and status ``"upper-bound-only"``: the
-estimate is only an upper bound witness, not a rate.
+seed, bit_errors, codewords_used), each checked as ``SimConfig`` and
+``run_ber_point`` check it, with ``0 <= bit_errors <= bits_simulated``. Its
+stream key, bits simulated, BER, 95% CI half-width and status are derived
+from those in ``BerPoint`` alone, so a point cannot contradict itself. If
+``max_codewords`` runs out with zero errors the point has ber = 0 and status
+``"upper-bound-only"``: the estimate is only an upper bound witness, not a
+rate.
 """
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice, repeat
@@ -80,10 +83,16 @@ class BerPoint:
     status: str = field(init=False)  # "ok" | "upper-bound-only"
 
     def __post_init__(self):
-        # the one estimator: each field below is a function of the fields above
         c = build_constellation(self.kind)  # the one kind rule
+        # store the checked values, as SimConfig does
+        object.__setattr__(self, "alpha", validate_alpha(self.alpha))
+        object.__setattr__(self, "ebn0_db", NoiseModel.from_ebn0_db(self.ebn0_db).ebn0_db)
         bits = validate_count(self.codewords_used) * 2 * c.bits_per_symbol
-        ber = self.bit_errors / bits
+        e = self.bit_errors
+        if isinstance(e, bool) or not isinstance(e, numbers.Integral) or not 0 <= e <= bits:
+            raise ValueError(f"bit_errors must be an integer in [0, {bits}], got {e!r}")
+        # the one estimator: each field below is a function of the fields above
+        ber = e / bits
         key = point_stream_key(self.seed, self.alpha, self.ebn0_db)
         object.__setattr__(self, "stream_key", key)
         object.__setattr__(self, "bits_simulated", bits)

@@ -275,6 +275,11 @@ class TestPepTable:
             assert row.pep_alpha_lo == pytest.approx(pep_bound(d2_lo, 0.01), rel=1e-14)
             assert row.pep_alpha_hi == pytest.approx(pep_bound(d2_hi, 0.01), rel=1e-14)
 
+    def test_noise_is_required(self):
+        # the table has no default operating point: every caller states its n0
+        with pytest.raises(TypeError):
+            error_event_pep_table()
+
     def test_selected_cells(self):
         rows = {r.event_id: r for r in error_event_pep_table(n0=0.01)}
         assert rows["E2"].pep_alpha_hi == pytest.approx(1 / 121, rel=1e-12)

@@ -72,6 +72,12 @@ def test_grid_validators_reject_empty():
         validate_alphas([])
     with pytest.raises(ValueError, match="ebn0_db_grid must not be empty"):
         validate_ebn0_grid(iter(()))
+    # a str or bytes iterates as characters or byte codes, not as numbers
+    for text in ("48", b"48"):
+        with pytest.raises(ValueError, match="ebn0_db_grid must be a sequence of numbers"):
+            validate_ebn0_grid(text)
+        with pytest.raises(ValueError, match="alphas must be a sequence of numbers"):
+            validate_alphas(text)
 
 
 def test_seed_validation():

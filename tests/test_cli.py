@@ -368,6 +368,26 @@ class TestDegradation:
                         "--reference-alpha", "0.5"]) == 3
         assert str(path) in capsys.readouterr().err
 
+    def test_interleaved_alphas_grouped_in_file_order(self, tmp_path, capsys):
+        path = tmp_path / "ber.csv"
+        path.write_text("# schema=noma-uplink/ber/v1\nalpha,ebn0_db,ber,status\n"
+                        "0.9,13,0.01,ok\n0.5,10,0.01,ok\n0.9,23,1e-4,ok\n0.5,20,1e-4,ok\n")
+        assert read_ber_csv(path) == {0.9: [(13.0, 1e-2), (23.0, 1e-4)],
+                                      0.5: [(10.0, 1e-2), (20.0, 1e-4)]}
+        assert run_cli(["degradation", "--input", str(path),
+                        "--reference-alpha", "0.5", "--target-ber", "1e-3"]) == 0
+        rows = [ln.split() for ln in capsys.readouterr().out.splitlines()[2:]]
+        assert [(r[0], float(r[-1])) for r in rows] == [("0.5", 0.0), ("0.9", 3.0)]
+
+    def test_repeat_split_by_another_alpha_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "ber.csv"
+        path.write_text("# schema=noma-uplink/ber/v1\nalpha,ebn0_db,ber,status\n"
+                        "0.5,10,0.01,ok\n0.9,10,0.05,ok\n0.5,10,1e-4,ok\n")
+        assert run_cli(["degradation", "--input", str(path),
+                        "--reference-alpha", "0.5"]) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and "strictly increasing" in err
+
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert run_cli(["degradation", "--input", str(tmp_path / "nope.csv"),
                         "--reference-alpha", "0.5"]) == 3
@@ -379,8 +399,9 @@ class TestRoundTrip:
         run_cli(["ber", "--constellation", "qpsk", "--alpha-list", "0.5,0.9",
                  "--snr-grid-db", "2,6,10", "--min-errors", "100",
                  "--max-codewords", "100000", "--seed", "3", "--out", str(out)])
-        rows = read_ber_csv(out)
-        assert len(rows) == 6
+        curves = read_ber_csv(out)
+        assert {a: [s for s, _ in pairs] for a, pairs in curves.items()} == {
+            0.5: [2.0, 6.0, 10.0], 0.9: [2.0, 6.0, 10.0]}
         # BERs at these SNRs are large, so target 10% is bracketed
         assert run_cli(["degradation", "--input", str(out),
                         "--reference-alpha", "0.5", "--target-ber", "0.05"]) == 0

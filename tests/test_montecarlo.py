@@ -71,6 +71,9 @@ class TestConfigValidation:
                 SimConfig(**{field: ()})
         with pytest.raises(ValueError):
             SimConfig(ebn0_db_grid=(10.0, float("nan")))
+        # a string is not a grid of its characters
+        with pytest.raises(ValueError, match="not a string"):
+            SimConfig(ebn0_db_grid="15")
         # the order and repeat rules apply to the parsed floats, not the raw values
         with pytest.raises(ValueError):
             SimConfig(ebn0_db_grid=("10", "9"))
@@ -295,6 +298,23 @@ class TestPointRecord:
             counted_point(kind="qam64")
         with pytest.raises(ValueError, match="count must be a positive integer"):
             counted_point(codewords_used=0)
+
+    def test_rejects_bad_alpha_ebn0_and_error_count(self):
+        with pytest.raises(ValueError, match="power imbalance factor"):
+            counted_point(alpha=2.0)
+        with pytest.raises(ValueError, match="Eb/N0 must be finite"):
+            counted_point(ebn0_db=float("nan"))
+        # QPSK: one codeword carries 4 bits
+        for bad in (5, -3, 1.0, True):
+            with pytest.raises(ValueError, match="bit_errors"):
+                counted_point(bit_errors=bad, codewords_used=1)
+        assert counted_point(bit_errors=4, codewords_used=1).ber == 1.0
+
+    def test_stores_the_checked_floats(self):
+        p = counted_point(alpha="0.5", ebn0_db=-0.0)
+        assert p == counted_point(alpha=0.5, ebn0_db=0.0)
+        assert (type(p.alpha), type(p.ebn0_db), math.copysign(1.0, p.ebn0_db)) == (
+            float, float, 1.0)
 
     def test_curve_reads_one_alpha_from_its_points(self):
         assert BerCurve((counted_point(0.9, 10.0), counted_point(0.9, 20.0))).alpha == 0.9
