@@ -8,11 +8,12 @@ Subcommands::
     ber             Monte Carlo BER sweep over (alpha, Eb/N0)
     degradation     SNR-degradation report from a ber CSV at a target BER
 
-Every output file starts with a '#'-prefixed manifest (schema version, tool
-version, resolved parameters, seed, RNG algorithm, timestamp). Re-running
-the same command reproduces the file bit-exactly except for the timestamp
-line. Floats are serialized with 17 significant digits so replays are
-comparable. Exit codes: 0 success, 2 usage error, 3 runtime/config error.
+One writer, ``_csv_out``, opens every output file and writes its '#'-prefixed
+manifest (schema version, tool version, resolved parameters, seed, RNG
+algorithm, timestamp) and CSV header; one rule, ``_cell``, formats each value
+in both: a float at 17 significant digits, a tuple comma-joined. A replay
+reproduces the file bit-exactly except for the timestamp line. Exit codes:
+0 success, 2 usage error, 3 runtime/config error.
 
 The CLI parses arguments and formats output; the library decides: the sweep
 order and ``ber`` defaults in ``montecarlo``, the alpha argmin in ``bounds``
@@ -24,6 +25,7 @@ import argparse
 import csv
 import math
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 from . import __version__
@@ -104,26 +106,44 @@ _alpha_grid = _arg_type(lambda text: validate_alphas(_parse_grid(text)))
 _ebn0_grid = _arg_type(lambda text: validate_ebn0_grid(_parse_grid(text)))
 
 
-def _write_manifest(fh, subcommand, params, seed=None):
-    fh.write(f"# schema={_SCHEMA_PREFIX}/{subcommand}/v1\n")
-    fh.write(f"# tool=noma-uplink {__version__}\n")
-    fh.write(f"# subcommand={subcommand}\n")
-    for key in sorted(params):
-        fh.write(f"# param {key}={params[key]}\n")
-    if seed is not None:
-        fh.write(f"# seed={seed}\n")
-    fh.write(f"# rng={RNG_ALGORITHM}\n")
-    fh.write(f"# timestamp={datetime.now(timezone.utc).isoformat()}\n")
+def _cell(value):
+    """The one output rule: a float at 17 significant digits, a tuple comma-joined, else as is."""
+    if isinstance(value, float):
+        return _f17(value)
+    if isinstance(value, tuple):
+        return ",".join(str(_cell(v)) for v in value)
+    return value
+
+
+def _comment(fields, tag="#"):
+    """A comment line: ``tag``, then ``key=value`` for each field, its value under ``_cell``."""
+    return " ".join([tag, *(f"{k}={_cell(v)}" for k, v in fields.items())]) + "\n"
+
+
+@contextmanager
+def _csv_out(path, subcommand, params, header, seed=None):
+    """Write ``path``'s manifest and CSV ``header``; yield ``(row, fh)``.
+
+    ``row(cells)`` writes one CSV row, each cell under ``_cell``; ``fh``
+    takes ``_comment`` lines between rows.
+    """
+    manifest = {"schema": f"{_SCHEMA_PREFIX}/{subcommand}/v1",
+                "tool": f"noma-uplink {__version__}", "subcommand": subcommand,
+                **{f"param {k}": params[k] for k in sorted(params)}, "seed": seed,
+                "rng": RNG_ALGORITHM, "timestamp": datetime.now(timezone.utc).isoformat()}
+    with open(path, "w", newline="") as fh:
+        fh.writelines(_comment({k: v}) for k, v in manifest.items() if v is not None)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        yield (lambda cells: writer.writerow(map(_cell, cells))), fh
 
 
 def _cmd_constellation(args):
     c = build_constellation(args.kind)
-    with open(args.out, "w", newline="") as fh:
-        _write_manifest(fh, "constellation", {"kind": args.kind})
-        writer = csv.writer(fh)
-        writer.writerow(["index", "re", "im", "label"])
+    header = ("index", "re", "im", "label")
+    with _csv_out(args.out, "constellation", {"kind": args.kind}, header) as (row, _):
         for i, (p, lbl) in enumerate(zip(c.points, c.labels)):
-            writer.writerow([i, _f17(p.real), _f17(p.imag), lbl])
+            row((i, p.real, p.imag, lbl))
     print(f"wrote {c.M} {args.kind} points to {args.out}")
     return 0
 
@@ -135,19 +155,14 @@ def _cmd_table1(args):
     bound_lo, bound_hi = (union_bound_value(qpsk, a, nm.n0) for a in TABLE_ALPHAS)
     alpha_lo, alpha_hi = TABLE_ALPHAS
     lo, hi = (f"alpha_{a:g}" for a in TABLE_ALPHAS)
-    params = {"n0": _f17(nm.n0), "snr_db": _f17(nm.ebn0_db),
-              "alpha_lo": _f17(alpha_lo), "alpha_hi": _f17(alpha_hi)}
-    with open(args.out, "w", newline="") as fh:
-        _write_manifest(fh, "table1", params)
-        writer = csv.writer(fh)
-        writer.writerow(["event", "u", "v", "n_bits",
-                         f"d2_{lo}", f"d2_{hi}", f"pep_{lo}", f"pep_{hi}"])
+    params = {"n0": nm.n0, "snr_db": nm.ebn0_db, "alpha_lo": alpha_lo, "alpha_hi": alpha_hi}
+    header = ("event", "u", "v", "n_bits", f"d2_{lo}", f"d2_{hi}", f"pep_{lo}", f"pep_{hi}")
+    with _csv_out(args.out, "table1", params, header) as (row, _):
         for r in rows:
-            writer.writerow([r.event_id, _fmt_complex(r.u), _fmt_complex(r.v), r.n_bits,
-                             _f17(r.d2_alpha_lo), _f17(r.d2_alpha_hi),
-                             _f17(r.pep_alpha_lo), _f17(r.pep_alpha_hi)])
-        writer.writerow([f"abep_bound_{lo}", "", "", "", "", "", _f17(bound_lo), ""])
-        writer.writerow([f"abep_bound_{hi}", "", "", "", "", "", "", _f17(bound_hi)])
+            row((r.event_id, _fmt_complex(r.u), _fmt_complex(r.v), r.n_bits,
+                 r.d2_alpha_lo, r.d2_alpha_hi, r.pep_alpha_lo, r.pep_alpha_hi))
+        row((f"abep_bound_{lo}", "", "", "", "", "", bound_lo, ""))
+        row((f"abep_bound_{hi}", "", "", "", "", "", "", bound_hi))
     print(f"error-event table at Eb/N0 = {nm.ebn0_db:g} dB -> {args.out}")
     print(f"weighted ABEP bound: {bound_lo:.3g} (alpha={alpha_lo:g}),"
           f" {bound_hi:.3g} (alpha={alpha_hi:g})")
@@ -155,29 +170,19 @@ def _cmd_table1(args):
 
 
 def _cmd_bound(args):
-    kind = args.constellation
-    c = build_constellation(kind)
-    params = {
-        "constellation": kind,
-        "alpha_grid": ",".join(_f17(a) for a in args.alpha_grid),
-        "snr_grid_db": ",".join(_f17(s) for s in args.snr_grid_db),
-    }
-    argmins = []
-    with open(args.out, "w", newline="") as fh:
-        _write_manifest(fh, "bound", params)
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "ebn0_db", "abep_bound"])
+    c = build_constellation(args.constellation)
+    params = {"constellation": args.constellation, "alpha_grid": args.alpha_grid,
+              "snr_grid_db": args.snr_grid_db}
+    with _csv_out(args.out, "bound", params, ("alpha", "ebn0_db", "abep_bound")) as (row, fh):
         for s in args.snr_grid_db:
             n0 = NoiseModel.from_ebn0_db(s).n0
             values = [union_bound_value(c, a, n0) for a in args.alpha_grid]
             for a, b in zip(args.alpha_grid, values):
-                writer.writerow([_f17(a), _f17(s), _f17(b)])
+                row((a, s, b))
             a = optimal_alpha(c, n0, args.alpha_grid)
             b = values[args.alpha_grid.index(a)]
-            argmins.append((s, a, b))
-            fh.write(f"# argmin ebn0_db={_f17(s)} alpha={_f17(a)} abep_bound={_f17(b)}\n")
-    for s, a, b in argmins:
-        print(f"Eb/N0 = {s:g} dB: bound minimized at alpha = {a:g} (ABEP <= {b:.3g})")
+            fh.write(_comment({"ebn0_db": s, "alpha": a, "abep_bound": b}, "# argmin"))
+            print(f"Eb/N0 = {s:g} dB: bound minimized at alpha = {a:g} (ABEP <= {b:.3g})")
     return 0
 
 
@@ -192,27 +197,16 @@ def _cmd_ber(args):
         max_codewords=args.max_codewords,
         workers=args.workers,
     )
-    params = {
-        "constellation": cfg.kind,
-        "detector": cfg.detector,
-        "alpha_list": ",".join(_f17(a) for a in cfg.alphas),
-        "snr_grid_db": ",".join(_f17(s) for s in cfg.ebn0_db_grid),
-        "min_errors": str(cfg.min_bit_errors),
-        "max_codewords": str(cfg.max_codewords),
-    }
-    n_points = 0
-    with open(args.out, "w", newline="") as fh:
-        _write_manifest(fh, "ber", params, seed=cfg.seed)
-        writer = csv.writer(fh)
-        writer.writerow(_BER_COLUMNS)
+    params = {"constellation": cfg.kind, "detector": cfg.detector, "alpha_list": cfg.alphas,
+              "snr_grid_db": cfg.ebn0_db_grid, "min_errors": cfg.min_bit_errors,
+              "max_codewords": cfg.max_codewords}
+    with _csv_out(args.out, "ber", params, _BER_COLUMNS, seed=cfg.seed) as (row, fh):
         for p in sweep_points(cfg):
-            values = (getattr(p, name) for name in _BER_COLUMNS)
-            writer.writerow([_f17(v) if isinstance(v, float) else v for v in values])
+            row(getattr(p, name) for name in _BER_COLUMNS)
             fh.flush()
-            n_points += 1
             print(f"alpha={p.alpha:g} Eb/N0={p.ebn0_db:g} dB: ber={p.ber:.3e} "
                   f"({p.bit_errors} errors / {p.codewords_used} codewords, {p.status})")
-    print(f"wrote {n_points} points to {args.out}")
+    print(f"wrote {len(cfg.alphas) * len(cfg.ebn0_db_grid)} points to {args.out}")
     return 0
 
 

@@ -19,13 +19,13 @@ min_bit_errors, max_codewords): the worker count never changes the result.
   computed.
 
 A ``BerPoint`` holds what the run chose and counted: (alpha, ebn0_db, kind,
-seed, bit_errors, codewords_used), each checked as ``SimConfig`` and
-``run_ber_point`` check it, with ``0 <= bit_errors <= bits_simulated``. Its
-stream key, bits simulated, BER, 95% CI half-width and status are derived
-from those in ``BerPoint`` alone, so a point cannot contradict itself. If
-``max_codewords`` runs out with zero errors the point has ber = 0 and status
-``"upper-bound-only"``: the estimate is only an upper bound witness, not a
-rate.
+seed, bit_errors, codewords_used), each checked as ``SimConfig`` checks it
+and stored as a Python float or int, with ``0 <= bit_errors <=
+bits_simulated``. Its stream key, bits simulated, BER, 95% CI half-width and
+status are derived from those in ``BerPoint`` alone, so a point cannot
+contradict itself. If ``max_codewords`` runs out with zero errors the point
+has ber = 0 and status ``"upper-bound-only"``: the estimate is only an upper
+bound witness, not a rate. A ``BerCurve`` stores its points as a tuple.
 """
 
 import math
@@ -87,12 +87,15 @@ class BerPoint:
         # store the checked values, as SimConfig does
         object.__setattr__(self, "alpha", validate_alpha(self.alpha))
         object.__setattr__(self, "ebn0_db", NoiseModel.from_ebn0_db(self.ebn0_db).ebn0_db)
-        bits = validate_count(self.codewords_used) * 2 * c.bits_per_symbol
+        object.__setattr__(self, "seed", validate_seed(self.seed))
+        object.__setattr__(self, "codewords_used", validate_count(self.codewords_used))
+        bits = self.codewords_used * 2 * c.bits_per_symbol
         e = self.bit_errors
         if isinstance(e, bool) or not isinstance(e, numbers.Integral) or not 0 <= e <= bits:
             raise ValueError(f"bit_errors must be an integer in [0, {bits}], got {e!r}")
+        object.__setattr__(self, "bit_errors", int(e))
         # the one estimator: each field below is a function of the fields above
-        ber = e / bits
+        ber = self.bit_errors / bits
         key = point_stream_key(self.seed, self.alpha, self.ebn0_db)
         object.__setattr__(self, "stream_key", key)
         object.__setattr__(self, "bits_simulated", bits)
@@ -107,6 +110,7 @@ class BerCurve:
     points: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "points", tuple(self.points))  # any iterable; hashable once stored
         validate_ebn0_grid(p.ebn0_db for p in self.points)
         alphas = {p.alpha for p in self.points}
         if len(alphas) != 1:

@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from noma_uplink import NoiseModel, SimConfig, build_constellation, optimal_alpha, sweep
+from noma_uplink import (NoiseModel, SimConfig, __version__, build_constellation,
+                         optimal_alpha, sweep)
 from noma_uplink.cli import _f17, build_parser, main, read_ber_csv
 from noma_uplink.constellation import KINDS
 from noma_uplink.detectors import DETECTORS
@@ -438,3 +439,96 @@ class TestRoundTrip:
         assert "# rng=philox4x64/inverse-cdf/v1" in text
         assert any(ln.startswith("# timestamp=") for ln in header)
         assert "# param constellation=qpsk" in text
+
+
+_TOOL = f"# tool=noma-uplink {__version__}"
+_RNG = "# rng=philox4x64/inverse-cdf/v1"
+# each file's lines other than '# timestamp=', and its stdout, as written by
+# the release these literals were captured from; a replay must match them exactly
+_GOLDEN = {
+    "constellation": (
+        ["constellation", "--kind", "qpsk"],
+        ["# schema=noma-uplink/constellation/v1", _TOOL, "# subcommand=constellation",
+         "# param kind=qpsk", _RNG,
+         "index,re,im,label",
+         "0,1,1,00",
+         "1,1,-1,01",
+         "2,-1,1,10",
+         "3,-1,-1,11"],
+        "wrote 4 qpsk points to {out}\n"),
+    "table1": (
+        ["table1", "--snr-db", "20.7"],
+        ["# schema=noma-uplink/table1/v1", _TOOL, "# subcommand=table1",
+         "# param alpha_hi=0.90000000000000002",
+         "# param alpha_lo=0.5",
+         "# param n0=0.0085113803820237675",
+         "# param snr_db=20.699999999999999", _RNG,
+         "event,u,v,n_bits,d2_alpha_0.5,d2_alpha_0.9,pep_alpha_0.5,pep_alpha_0.9",
+         "E1,2+0j,0+0j,1,2,3.6000000000000001,0.00028015517325497409,8.7768617254985071e-05",
+         "E2,0+0j,2+0j,1,2,0.39999999999999991,0.00028015517325497409,0.006152468850467145",
+         "E3,0+2j,0+0j,1,2,3.6000000000000001,0.00028015517325497409,8.7768617254985071e-05",
+         "E4,0+0j,0+2j,1,2,0.39999999999999991,0.00028015517325497409,0.006152468850467145",
+         "E5,2+0j,2+0j,2,4,4,7.1225973435869018e-05,7.1225973435869018e-05",
+         "E6,2+0j,0+2j,2,4,4,7.1225973435869018e-05,7.1225973435869018e-05",
+         "E7,0+2j,2+0j,2,4,4,7.1225973435869018e-05,7.1225973435869018e-05",
+         "E8,0+2j,0+2j,2,4,4,7.1225973435869018e-05,7.1225973435869018e-05",
+         "E9,2+2j,0+0j,2,4,7.2000000000000002,7.1225973435869018e-05,2.2149172630104382e-05",
+         "E10,0+0j,2+2j,2,4,0.79999999999999982,7.1225973435869018e-05,0.0016662511923784488",
+         "E11,2+2j,2+0j,3,6,7.5999999999999996,3.1834850757258608e-05,1.9888887538379586e-05",
+         "E12,2+0j,2+2j,3,6,4.4000000000000004,3.1834850757258608e-05,5.8954870237663247e-05",
+         "E13,2+2j,0+2j,3,6,7.5999999999999996,3.1834850757258608e-05,1.9888887538379586e-05",
+         "E14,0+2j,2+2j,3,6,4.4000000000000004,3.1834850757258608e-05,5.8954870237663247e-05",
+         "E15,2+2j,2+2j,4,8,8,1.7957728711403822e-05,1.7957728711403822e-05",
+         "abep_bound_alpha_0.5,,,,,,0.00060729537454576083,",
+         "abep_bound_alpha_0.9,,,,,,,0.0042429942286125481"],
+        "error-event table at Eb/N0 = 20.7 dB -> {out}\n"
+        "weighted ABEP bound: 0.000607 (alpha=0.5), 0.00424 (alpha=0.9)\n"),
+    "bound": (
+        ["bound", "--constellation", "qpsk", "--alpha-grid", "0.5,0.9",
+         "--snr-grid-db", "10,20.7"],
+        ["# schema=noma-uplink/bound/v1", _TOOL, "# subcommand=bound",
+         "# param alpha_grid=0.5,0.90000000000000002",
+         "# param constellation=qpsk",
+         "# param snr_grid_db=10,20.699999999999999", _RNG,
+         "alpha,ebn0_db,abep_bound",
+         "0.5,10,0.066557489903674966",
+         "0.90000000000000002,10,0.21990376308944867",
+         "# argmin ebn0_db=10 alpha=0.5 abep_bound=0.066557489903674966",
+         "0.5,20.699999999999999,0.00060729537454576083",
+         "0.90000000000000002,20.699999999999999,0.0042429942286125481",
+         "# argmin ebn0_db=20.699999999999999 alpha=0.5 abep_bound=0.00060729537454576083"],
+        "Eb/N0 = 10 dB: bound minimized at alpha = 0.5 (ABEP <= 0.0666)\n"
+        "Eb/N0 = 20.7 dB: bound minimized at alpha = 0.5 (ABEP <= 0.000607)\n"),
+    "ber": (
+        ["ber", "--constellation", "qpsk", "--alpha-list", "0.5,0.9", "--snr-grid-db", "10",
+         "--seed", "7", "--min-errors", "50", "--max-codewords", "10000"],
+        ["# schema=noma-uplink/ber/v1", _TOOL, "# subcommand=ber",
+         "# param alpha_list=0.5,0.90000000000000002",
+         "# param constellation=qpsk",
+         "# param detector=ml",
+         "# param max_codewords=10000",
+         "# param min_errors=50",
+         "# param snr_grid_db=10",
+         "# seed=7", _RNG,
+         "alpha,ebn0_db,ber,ci95_halfwidth,bit_errors,bits_simulated,codewords_used,"
+         "stream_key,status",
+         "0.5,10,0.031224999999999999,0.0017044676412226194,1249,40000,10000,"
+         "9421825339783360442,ok",
+         "0.90000000000000002,10,0.0693,0.0024888432775890088,2772,40000,10000,"
+         "2938025257976569970,ok"],
+        "alpha=0.5 Eb/N0=10 dB: ber=3.122e-02 (1249 errors / 10000 codewords, ok)\n"
+        "alpha=0.9 Eb/N0=10 dB: ber=6.930e-02 (2772 errors / 10000 codewords, ok)\n"
+        "wrote 2 points to {out}\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN))
+def test_output_replays_golden_text(tmp_path, capsys, name):
+    args, lines, stdout = _GOLDEN[name]
+    out = tmp_path / f"{name}.csv"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    assert strip_timestamp(out) == lines
+    assert capsys.readouterr().out == stdout.format(out=out)
+    # manifest and comment lines end in LF, CSV rows in the csv module's CRLF
+    raw = out.read_bytes().splitlines(keepends=True)
+    assert all(ln.endswith(b"\r\n") != ln.startswith(b"#") for ln in raw)

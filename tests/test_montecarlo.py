@@ -1,6 +1,7 @@
 """Monte Carlo harness: reproducibility, stopping policy, estimates."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -275,9 +276,10 @@ def pairs_of(curve):
     return [(p.ebn0_db, p.ber) for p in curve.points]
 
 
-def counted_point(alpha=0.5, ebn0_db=10.0, bit_errors=100, codewords_used=2_500, kind="qpsk"):
+def counted_point(alpha=0.5, ebn0_db=10.0, bit_errors=100, codewords_used=2_500, kind="qpsk",
+                  seed=0):
     """A point built from counts, as ``run_ber_point`` builds one."""
-    return BerPoint(alpha=alpha, ebn0_db=ebn0_db, kind=kind, seed=0, bit_errors=bit_errors,
+    return BerPoint(alpha=alpha, ebn0_db=ebn0_db, kind=kind, seed=seed, bit_errors=bit_errors,
                     codewords_used=codewords_used)
 
 
@@ -315,6 +317,24 @@ class TestPointRecord:
         assert p == counted_point(alpha=0.5, ebn0_db=0.0)
         assert (type(p.alpha), type(p.ebn0_db), math.copysign(1.0, p.ebn0_db)) == (
             float, float, 1.0)
+
+    def test_stores_the_checked_seed_and_counts(self):
+        # numpy scalars are stored as the ints they stand for, so a point serialises as JSON
+        p = counted_point(seed=np.uint64(3), bit_errors=np.int64(1), codewords_used=np.int64(10))
+        assert p == counted_point(seed=3, bit_errors=1, codewords_used=10)
+        assert [type(getattr(p, name)) for name in ("seed", "bit_errors", "codewords_used",
+                                                    "bits_simulated", "ber")] == [
+            int, int, int, int, float]
+        assert json.loads(json.dumps(dataclasses.asdict(p)))["seed"] == 3
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            counted_point(seed=2**64)
+
+    def test_curve_stores_its_points_as_a_tuple(self):
+        points = [counted_point(0.9, 10.0), counted_point(0.9, 20.0)]
+        for given in (points, (p for p in points)):
+            curve = BerCurve(given)
+            assert (curve.points, curve.alpha) == (tuple(points), 0.9)
+            assert hash(curve) == hash(BerCurve(tuple(points)))
 
     def test_curve_reads_one_alpha_from_its_points(self):
         assert BerCurve((counted_point(0.9, 10.0), counted_point(0.9, 20.0))).alpha == 0.9
