@@ -222,6 +222,11 @@ def error_event_pep_table(n0):
     return rows
 
 
+def argmin_alpha(pairs):
+    """The ``(alpha, value)`` pair of least value; ties go to the smaller alpha."""
+    return min(sorted(pairs), key=lambda pair: pair[1])
+
+
 def optimal_alpha(c, n0, grid):
     """Argmin of the union bound over an alpha list; ties go to the smaller alpha."""
-    return min(sorted(validate_alphas(grid)), key=lambda a: union_bound_value(c, a, n0))
+    return argmin_alpha((a, union_bound_value(c, a, n0)) for a in validate_alphas(grid))[0]

@@ -29,7 +29,7 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 
 from . import __version__
-from .bounds import TABLE_ALPHAS, error_event_pep_table, optimal_alpha, union_bound_value
+from .bounds import TABLE_ALPHAS, argmin_alpha, error_event_pep_table, union_bound_value
 from .constellation import KINDS, build_constellation
 from .channel import (NoiseModel, validate_alpha, validate_alphas, validate_count,
                       validate_ebn0_grid)
@@ -176,11 +176,10 @@ def _cmd_bound(args):
     with _csv_out(args.out, "bound", params, ("alpha", "ebn0_db", "abep_bound")) as (row, fh):
         for s in args.snr_grid_db:
             n0 = NoiseModel.from_ebn0_db(s).n0
-            values = [union_bound_value(c, a, n0) for a in args.alpha_grid]
-            for a, b in zip(args.alpha_grid, values):
+            pairs = [(a, union_bound_value(c, a, n0)) for a in args.alpha_grid]
+            for a, b in pairs:
                 row((a, s, b))
-            a = optimal_alpha(c, n0, args.alpha_grid)
-            b = values[args.alpha_grid.index(a)]
+            a, b = argmin_alpha(pairs)
             fh.write(_comment({"ebn0_db": s, "alpha": a, "abep_bound": b}, "# argmin"))
             print(f"Eb/N0 = {s:g} dB: bound minimized at alpha = {a:g} (ABEP <= {b:.3g})")
     return 0

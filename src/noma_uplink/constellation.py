@@ -25,8 +25,7 @@ bits.
 
 Each kind is built once, at import: ``build_constellation`` returns that
 instance, whose ``points`` (``complex128``) and ``hamming`` (``int64``, M x
-M) are the read-only numpy arrays that every layer reads as they are; the ML
-detector also reads ``slicer``, the per-axis cells it slices user 2 with.
+M) are the read-only numpy arrays that every layer reads as they are.
 """
 
 import math
@@ -45,16 +44,7 @@ KINDS = tuple(_AXES)
 # eq=False: one instance per kind, so identity is equality
 @dataclass(frozen=True, eq=False)
 class Constellation:
-    """Finite complex symbol set with index-aligned bit labels.
-
-    ``slicer`` is the per-axis nearest-level slicer ``(edges, index)``.
-    ``edges`` holds -inf, the midpoints between adjacent sorted levels
-    (scaled like ``points``) and +inf: a coordinate ``v`` lies in cell
-    ``k = searchsorted(edges[1:-1], v)``, between ``edges[k]`` and
-    ``edges[k + 1]``. ``index[k]`` is the label of the k-th lowest level, so
-    the point nearest ``re + 1j*im`` is
-    ``points[index[k_re] * len(index) + index[k_im]]``.
-    """
+    """Finite complex symbol set with index-aligned bit labels."""
 
     kind: str
     points: np.ndarray
@@ -62,7 +52,6 @@ class Constellation:
     M: int
     bits_per_symbol: int
     hamming: np.ndarray
-    slicer: tuple
 
 
 def _frozen(a):
@@ -75,14 +64,10 @@ def _build(kind):
     n = len(levels)
     bits = 2 * (n.bit_length() - 1)
     axis = np.array(levels) * scale
-    order = sorted(range(n), key=levels.__getitem__)  # argsort(levels)
-    coords = axis[order]
-    edges = np.concatenate(([-np.inf], (coords[:-1] + coords[1:]) / 2, [np.inf]))
     hamming = [[(a ^ b).bit_count() for b in range(n * n)] for a in range(n * n)]
     return Constellation(kind, _frozen((axis[:, None] + 1j * axis).flatten()),
                          tuple(format(k, f"0{bits}b") for k in range(n * n)), n * n, bits,
-                         _frozen(np.array(hamming, dtype=np.int64)),
-                         (_frozen(edges), _frozen(np.array(order))))
+                         _frozen(np.array(hamming, dtype=np.int64)))
 
 
 _BUILT = {kind: _build(kind) for kind in KINDS}

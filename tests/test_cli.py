@@ -6,8 +6,8 @@ import math
 
 import pytest
 
-from noma_uplink import (NoiseModel, SimConfig, __version__, build_constellation,
-                         optimal_alpha, sweep)
+from noma_uplink import (NoiseModel, SimConfig, __version__, bounds, build_constellation, cli,
+                         optimal_alpha, sweep, union_bound_value)
 from noma_uplink.cli import _f17, build_parser, main, read_ber_csv
 from noma_uplink.constellation import KINDS
 from noma_uplink.detectors import DETECTORS
@@ -162,6 +162,21 @@ class TestBound:
         assert argmin_lines == ["# argmin ebn0_db=-300 alpha=0.5 abep_bound=8"]
         n0 = NoiseModel.from_ebn0_db(-300).n0
         assert optimal_alpha(build_constellation("qpsk"), n0, [0.9, 0.5]) == 0.5
+
+    def test_each_bound_evaluated_once(self, tmp_path, monkeypatch):
+        # the argmin reads the values written as rows; none is evaluated again
+        calls = []
+
+        def counted(c, alpha, n0):
+            calls.append((alpha, n0))
+            return union_bound_value(c, alpha, n0)
+
+        monkeypatch.setattr(cli, "union_bound_value", counted)
+        monkeypatch.setattr(bounds, "union_bound_value", counted)
+        run_cli(["bound", "--constellation", "qam16", "--alpha-grid", "0.5:0.9:0.1",
+                 "--snr-grid-db", "0:20:10", "--out", str(tmp_path / "b.csv")])
+        assert len(calls) == 5 * 3
+        assert len(set(calls)) == len(calls)
 
     def test_single_cell_grid(self, tmp_path):
         out = tmp_path / "one.csv"

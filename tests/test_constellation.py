@@ -65,13 +65,9 @@ def test_unsupported_kind_rejected():
 
 @pytest.mark.parametrize("kind", ["qpsk", "qam16"])
 def test_one_instance_per_kind(kind):
-    # built once at import: every call returns the same object, whose
-    # slicer arrays are read-only like points and hamming
+    # built once at import: every call returns the same object
     c = build_constellation(kind)
     assert build_constellation(kind) is c
-    for a in c.slicer:
-        with pytest.raises(ValueError):
-            a[0] = 0
 
 
 @pytest.mark.parametrize("kind", ["qpsk", "qam16"])

@@ -3,7 +3,9 @@
 Every case runs through ``detect`` on whole batches: received vectors come
 from ``synthesize`` on rows of the per-trial draw layout, or are built
 directly as numpy arrays. In a draw row a uniform of 0.5 gives an exact 0.0
-normal, so a channel or noise column set to 0.5 is an exact zero.
+normal, so a channel or noise column set to 0.5 is an exact zero. The M^2
+search, ``detectors._ml_search``, is the reference that ML must equal
+decision for decision.
 """
 
 import itertools
@@ -18,6 +20,7 @@ from noma_uplink import (
     detect,
     synthesize,
 )
+from noma_uplink import detectors
 from noma_uplink.rng import DRAWS_PER_TRIAL, trial_stream
 
 # detect takes one alpha per call; random-instance tests split their
@@ -128,7 +131,7 @@ def test_ml_output_metric_is_minimal():
 
 @pytest.mark.parametrize("kind,n_cases", [("qpsk", 700), ("qam16", 300)])
 def test_ml_matches_sorting_oracle_random_instances(kind, n_cases):
-    # High Eb/N0 with alpha = 0.99 gives a small s2 and a large slicer input z.
+    # High Eb/N0 with alpha = 0.99 gives a small s2 and widely spread metrics.
     c = build_constellation(kind)
     u = trial_stream(4711).random((n_cases, DRAWS_PER_TRIAL))
     for ebn0_db in (5.0, 20.0, 30.0):
@@ -137,6 +140,38 @@ def test_ml_matches_sorting_oracle_random_instances(kind, n_cases):
             _, _, h, r = synthesize(u[k::len(ALPHAS)], c, alpha, n0)
             j1, j2 = detect("ml", r, h, alpha, c)
             assert np.array_equal(j1 * c.M + j2, metric_oracle(r, h, alpha, c))
+
+
+@pytest.mark.parametrize("kind", ["qpsk", "qam16"])
+def test_ml_matches_full_search_over_alphas_and_snrs(kind):
+    # 202,500 trials per kind: every alpha at 0 to 40 dB, where alpha 0.99
+    # at 40 dB gives the widest spread of metric magnitudes.
+    c = build_constellation(kind)
+    for key, (alpha, ebn0_db) in enumerate(itertools.product(ALPHAS, range(0, 41, 5))):
+        u = trial_stream(900 + key).random((4_500, DRAWS_PER_TRIAL))
+        _, _, h, r = synthesize(u, c, alpha, NoiseModel.from_ebn0_db(ebn0_db).n0)
+        j1, j2 = detect("ml", r, h, alpha, c)
+        x1, x2 = math.sqrt(alpha) * c.points, math.sqrt(1.0 - alpha) * c.points
+        for lo in range(0, len(j1), 1_500):
+            rows = slice(lo, lo + 1_500)
+            k1, k2 = detectors._ml_search(tuple(v[rows] for v in r), tuple(v[rows] for v in h),
+                                          x1, x2)
+            assert np.array_equal(j1[rows], k1) and np.array_equal(j2[rows], k2)
+
+
+def test_ml_decisions_do_not_depend_on_row_blocks():
+    # A 16QAM table block holds 156 rows, so these splits fall before, on
+    # and after block edges; each part must decide as in the whole batch.
+    c = build_constellation("qam16")
+    assert detectors._BLOCK // c.M**2 == 156
+    u = trial_stream(77).random((2_501, DRAWS_PER_TRIAL))
+    _, _, h, r = synthesize(u, c, 0.6, NoiseModel.from_ebn0_db(12.0).n0)
+    whole = detect("ml", r, h, 0.6, c)
+    for n in (1, 155, 156, 157, 2_501):
+        for rows in (slice(0, n), slice(n, None)):
+            part = detect("ml", tuple(v[rows] for v in r), tuple(v[rows] for v in h), 0.6, c)
+            assert np.array_equal(part[0], whole[0][rows])
+            assert np.array_equal(part[1], whole[1][rows])
 
 
 @pytest.mark.parametrize("kind,n_cases", [("qpsk", 700), ("qam16", 300)])
@@ -205,25 +240,35 @@ def test_ml_tie_breaks_to_lowest_index():
     assert (j1[0], j2[0]) == (0, 0)
 
 
-def test_ml_slicer_midpoint_falls_back_to_full_search():
+def test_ml_exact_tie_falls_back_to_full_search(monkeypatch):
     # h11 = 0, h12 = 1, h21 = 1, h22 = 0 and r = (1j*s2, s1*x1): for the sent
-    # x1 the slicer input z = 1j has Re z = 0 exactly, on the QPSK midpoint,
-    # and the user-2 symbols +1+1j (index 0) and -1+1j (index 2) tie. The
-    # slice alone takes cell 0 (level -1, label "1"), which gives index 2;
-    # the M^2 search takes the lower index.
+    # x1 the user-2 symbols +1+1j (index 0) and -1+1j (index 2) give the same
+    # metric, and the same table entry, so the gap is 0 and no larger than
+    # the tolerance. Every trial goes to the M^2 search, which takes the
+    # lower index.
     c = build_constellation("qpsk")
     alpha = 0.7
     i1 = np.arange(c.M)
     r = (np.full(c.M, 1j * math.sqrt(1.0 - alpha)), math.sqrt(alpha) * c.points[i1])
     h = channel(c.M, 0, 1, 1, 0)
+    table = metric_table(r, h, alpha, c)
+    assert np.array_equal(table[i1, i1 * c.M], table[i1, i1 * c.M + 2])
+    search, searched = detectors._ml_search, []
+
+    def spy(r, h, x1, x2):
+        searched.append(len(r[0]))
+        return search(r, h, x1, x2)
+
+    monkeypatch.setattr(detectors, "_ml_search", spy)
     j1, j2 = detect("ml", r, h, alpha, c)
+    assert searched == [c.M]
     assert np.array_equal(j1, i1) and not j2.any()
     assert np.array_equal(metric_oracle(r, h, alpha, c), i1 * c.M)
 
 
 def test_ml_zero_user2_column_falls_back_to_full_search():
-    # A zero (h12, h22) column makes z = 0/0, so the slicer margin is not
-    # finite. Every x2 then ties, and the M^2 search keeps index 0.
+    # A zero (h12, h22) column makes every x2 tie, in the metrics and in the
+    # table, so the gap is 0 and the M^2 search keeps index 0.
     c = build_constellation("qam16")
     u = trial_stream(12).random((200, DRAWS_PER_TRIAL))
     u[:, [4, 5, 8, 9]] = 0.5
