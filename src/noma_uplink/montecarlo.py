@@ -11,7 +11,9 @@ min_bit_errors, max_codewords): the worker count never changes the result.
 * Each slice of trials is one batch: ``channel.synthesize`` decodes the
   per-trial draw layout into sent symbols and received vectors,
   ``detectors.detect`` decides them, and the errors are read from
-  ``Constellation.hamming``.
+  ``Constellation.hamming``. The sent codeword is ``detect``'s hint: ML
+  takes it without building a trial's metric table when it is proven the
+  unique minimum, so decisions, and every ``BerPoint``, are as without it.
 * The stopping rule is evaluated on fixed blocks of 10^4 trials: the point
   stops after the first block at which the cumulative bit-error count
   reaches ``min_bit_errors`` (or when ``max_codewords`` is exhausted).
@@ -130,7 +132,7 @@ def run_ber_point(cfg, alpha, ebn0_db):
         u = trial_stream(key, lo).random((min(SLICE, block_stop - lo), DRAWS_PER_TRIAL))
         # sampled noise: variance n0 per real component (see channel module docs)
         i1, i2, h, r = synthesize(u, c, alpha, nm.n0)
-        j1, j2 = detect(cfg.detector, r, h, alpha, c)
+        j1, j2 = detect(cfg.detector, r, h, alpha, c, hint=(i1, i2))
         return int((c.hamming[i1, j1] + c.hamming[i2, j2]).sum())
 
     errors = 0

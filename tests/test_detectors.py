@@ -76,6 +76,13 @@ def sic_oracle(r, h, alpha, c):
     return np.array(j1), np.array(j2)
 
 
+def proven(r, h, alpha, c, hint):
+    """The hint check's mask: trials whose hint ``detect`` takes without a table."""
+    x1, x2 = math.sqrt(alpha) * c.points, math.sqrt(1.0 - alpha) * c.points
+    f, t = detectors._gram_features(r, h, x1, x2)
+    return detectors._hint_proven(r, h, x1, x2, *hint, f, t)
+
+
 def channel(n, h11, h12, h21, h22):
     """The same 2x2 channel for ``n`` trials, as ``detect`` takes it."""
     return tuple(np.full(n, v, dtype=complex) for v in (h11, h12, h21, h22))
@@ -145,18 +152,22 @@ def test_ml_matches_sorting_oracle_random_instances(kind, n_cases):
 @pytest.mark.parametrize("kind", ["qpsk", "qam16"])
 def test_ml_matches_full_search_over_alphas_and_snrs(kind):
     # 202,500 trials per kind: every alpha at 0 to 40 dB, where alpha 0.99
-    # at 40 dB gives the widest spread of metric magnitudes.
+    # at 40 dB gives the widest spread of metric magnitudes. Each batch is
+    # decided without a hint, with the sent codeword as the hint and with a
+    # wrong one (user 1's index plus one); all three must equal the search.
     c = build_constellation(kind)
     for key, (alpha, ebn0_db) in enumerate(itertools.product(ALPHAS, range(0, 41, 5))):
         u = trial_stream(900 + key).random((4_500, DRAWS_PER_TRIAL))
-        _, _, h, r = synthesize(u, c, alpha, NoiseModel.from_ebn0_db(ebn0_db).n0)
-        j1, j2 = detect("ml", r, h, alpha, c)
+        i1, i2, h, r = synthesize(u, c, alpha, NoiseModel.from_ebn0_db(ebn0_db).n0)
+        got = [detect("ml", r, h, alpha, c, hint=hint)
+               for hint in (None, (i1, i2), ((i1 + 1) % c.M, i2))]
         x1, x2 = math.sqrt(alpha) * c.points, math.sqrt(1.0 - alpha) * c.points
-        for lo in range(0, len(j1), 1_500):
+        for lo in range(0, len(i1), 1_500):
             rows = slice(lo, lo + 1_500)
             k1, k2 = detectors._ml_search(tuple(v[rows] for v in r), tuple(v[rows] for v in h),
                                           x1, x2)
-            assert np.array_equal(j1[rows], k1) and np.array_equal(j2[rows], k2)
+            for j1, j2 in got:
+                assert np.array_equal(j1[rows], k1) and np.array_equal(j2[rows], k2)
 
 
 def test_ml_decisions_do_not_depend_on_row_blocks():
@@ -174,16 +185,58 @@ def test_ml_decisions_do_not_depend_on_row_blocks():
             assert np.array_equal(part[1], whole[1][rows])
 
 
+def test_hint_check_proves_most_sent_codewords_at_high_snr():
+    # QPSK, alpha 0.5, 30 dB: the check proves the sent codeword on at least
+    # 90% of trials, and a proven codeword is the ML decision.
+    c = build_constellation("qpsk")
+    u = trial_stream(88).random((10_000, DRAWS_PER_TRIAL))
+    i1, i2, h, r = synthesize(u, c, 0.5, NoiseModel.from_ebn0_db(30.0).n0)
+    mask = proven(r, h, 0.5, c, (i1, i2))
+    assert mask.mean() >= 0.9
+    j1, j2 = detect("ml", r, h, 0.5, c)
+    assert np.array_equal(j1[mask], i1[mask]) and np.array_equal(j2[mask], i2[mask])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_hint_check_proves_no_nan_or_infinite_trial():
+    # Four trials whose sent codeword is proven get a NaN or an infinity in
+    # r or h; none of them may be proven, and detect decides them as
+    # without a hint (the infinities make NaN metrics, hence the warnings).
+    c = build_constellation("qpsk")
+    u = trial_stream(89).random((50, DRAWS_PER_TRIAL))
+    i1, i2, h, r = synthesize(u, c, 0.5, NoiseModel.from_ebn0_db(30.0).n0)
+    bad = np.flatnonzero(proven(r, h, 0.5, c, (i1, i2)))[:4]
+    assert len(bad) == 4
+    r[0][bad[0]] = np.nan
+    h[1][bad[1]] = complex(np.nan, 0.0)
+    r[1][bad[2]] = np.inf
+    h[3][bad[3]] = complex(0.0, -np.inf)
+    assert not proven(r, h, 0.5, c, (i1, i2))[bad].any()
+    without, hinted = detect("ml", r, h, 0.5, c), detect("ml", r, h, 0.5, c, hint=(i1, i2))
+    assert np.array_equal(without[0], hinted[0]) and np.array_equal(without[1], hinted[1])
+
+
+def test_ml_rejects_malformed_hint():
+    c = build_constellation("qpsk")
+    u = trial_stream(90).random((5, DRAWS_PER_TRIAL))
+    i1, i2, h, r = synthesize(u, c, 0.6, 0.1)
+    for hint in ((i1 - c.M, i2), (i1, i2 + c.M), (i1[:4], i2[:4]), (i1 + 0.0, i2), (i1, i2, i2)):
+        with pytest.raises(ValueError, match="hint"):
+            detect("ml", r, h, 0.6, c, hint=hint)
+
+
 @pytest.mark.parametrize("kind,n_cases", [("qpsk", 700), ("qam16", 300)])
 def test_sic_matches_scalar_oracle_random_instances(kind, n_cases):
     c = build_constellation(kind)
     u = trial_stream(4712).random((n_cases, DRAWS_PER_TRIAL))
     n0 = NoiseModel.from_ebn0_db(5.0).n0
     for k, alpha in enumerate(ALPHAS):
-        _, _, h, r = synthesize(u[k::len(ALPHAS)], c, alpha, n0)
-        j1, j2 = detect("sic", r, h, alpha, c)
+        i1, i2, h, r = synthesize(u[k::len(ALPHAS)], c, alpha, n0)
         o1, o2 = sic_oracle(r, h, alpha, c)
-        assert np.array_equal(j1, o1) and np.array_equal(j2, o2)
+        # SIC ignores a hint, right or wrong
+        for hint in (None, (i1, i2), ((i1 + 1) % c.M, i2)):
+            j1, j2 = detect("sic", r, h, alpha, c, hint=hint)
+            assert np.array_equal(j1, o1) and np.array_equal(j2, o2)
 
 
 def test_ml_invariant_under_common_phase_rotation():
@@ -264,6 +317,13 @@ def test_ml_exact_tie_falls_back_to_full_search(monkeypatch):
     assert searched == [c.M]
     assert np.array_equal(j1, i1) and not j2.any()
     assert np.array_equal(metric_oracle(r, h, alpha, c), i1 * c.M)
+    # no codeword is proven as a hint, and the tied higher index as the
+    # hint still loses to the lower one
+    for k1, k2 in itertools.product(range(c.M), repeat=2):
+        assert not proven(r, h, alpha, c, (np.full(c.M, k1), np.full(c.M, k2))).any()
+    j1, j2 = detect("ml", r, h, alpha, c, hint=(i1, np.full(c.M, 2)))
+    assert searched == [c.M, c.M]
+    assert np.array_equal(j1, i1) and not j2.any()
 
 
 def test_ml_zero_user2_column_falls_back_to_full_search():
@@ -272,8 +332,12 @@ def test_ml_zero_user2_column_falls_back_to_full_search():
     c = build_constellation("qam16")
     u = trial_stream(12).random((200, DRAWS_PER_TRIAL))
     u[:, [4, 5, 8, 9]] = 0.5
-    _, _, h, r = synthesize(u, c, 0.7, NoiseModel.from_ebn0_db(10.0).n0)
+    i1, i2, h, r = synthesize(u, c, 0.7, NoiseModel.from_ebn0_db(10.0).n0)
     assert not h[1].any() and not h[3].any()
     j1, j2 = detect("ml", r, h, 0.7, c)
     assert not j2.any()
     assert np.array_equal(j1 * c.M + j2, metric_oracle(r, h, 0.7, c))
+    # the sent codeword is never proven, so it gives the same decisions
+    assert i2.any() and not proven(r, h, 0.7, c, (i1, i2)).any()
+    hinted = detect("ml", r, h, 0.7, c, hint=(i1, i2))
+    assert np.array_equal(hinted[0], j1) and not hinted[1].any()
