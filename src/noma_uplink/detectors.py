@@ -17,7 +17,10 @@ parts) and ``|h1|^2``, ``|h2|^2``, against the coefficients ``-2 x1``,
 product. Rows are taken ``_BLOCK // M^2`` at a time, so each table stays
 in cache: on a 2-core x86-64 VM, 16QAM took 4.6-6.4 ms per 10^4 trials in
 40,000-entry blocks, 8.3-9.9 in 5,000-entry blocks and 16-30 in one
-table per 2,500-trial slice.
+table per 2,500-trial slice. What depends only on the constellation and
+alpha (the scaled symbols, ``C``, ``P1``, ``P2``, ``d1^2`` and ``d2^2``
+below) is built once per (constellation, alpha) by ``_ml_plan``, not per
+call.
 
 The first argmin of a trial's table is its decision when the second
 smallest entry exceeds the smallest by more than ``_MARGIN * T^2``. Here
@@ -56,12 +59,25 @@ float inputs, let:
   H^H H``, read from the features the table uses;
 * ``lmax = (a + b + sqrt((a - b)^2 + 4 |g|^2)) / 2`` and ``lmin = (a b -
   |g|^2) / lmax``, the eigenvalues of ``G``;
-* ``d^2`` the least ``|x[k] - x[l]|^2`` over ``k != l`` of either user's
-  symbols (with alpha >= 1/2, user 2's), and ``s^2 = lmin d^2``.
+* ``d1^2`` and ``d2^2`` the least ``|x[k] - x[l]|^2`` over ``k != l`` of
+  user 1's and of user 2's scaled symbols;
+* ``s^2 = min(a d1^2, b d2^2, lmin (d1^2 + d2^2))``.
 
-Every other codeword ``w`` has ``|x(w) - x(w0)|^2 >= d^2``, so ``||H (x(w) -
-x(w0))|| >= s``, and by the triangle inequality ``||r - H x(w)|| >= s - e``.
-When ``s >= e`` that gives ``||r - H x(w)||^2 - e^2 >= s (s - 2e)``.
+Every other codeword ``w`` differs from ``w0`` by ``(D1, D2) = x(w) -
+x(w0)``, and ``H (x(w) - x(w0)) = h1 D1 + h2 D2``. The bound splits three
+cases, as the per-layer pruning of sphere decoders does (Agrell, Eriksson,
+Vardy & Zeger, IEEE Trans. IT 2002):
+
+* only user 1's symbol differs: ``||h1 D1||^2 = a |D1|^2 >= a d1^2``;
+* only user 2's symbol differs: ``||h2 D2||^2 = b |D2|^2 >= b d2^2``;
+* both differ: ``||H (D1, D2)||^2 >= lmin (|D1|^2 + |D2|^2) >= lmin (d1^2 +
+  d2^2)``.
+
+So ``||H (x(w) - x(w0))|| >= s`` in every case, and by the triangle
+inequality ``||r - H x(w)|| >= s - e``. When ``s >= e`` that gives ``||r -
+H x(w)||^2 - e^2 >= s (s - 2e)``. The single bound ``lmin min(d1^2,
+d2^2)`` never exceeds this ``s^2``, since ``a, b >= lmin``, and falls far
+below it when one column is weak and the powers are unequal.
 
 The check works from computed values, each made a one-sided bound by a
 slack derived term by term:
@@ -88,9 +104,18 @@ slack derived term by term:
   gamma_3 sqrt(ab) <= 8.3 u lmax``. Evaluating the formula adds at most ``5
   u`` relative, since its terms are non-negative and ``a - b`` is only
   squared.
-* ``d^2`` is within ``gamma_4`` of exact. With the quotient, the products
-  and the sum ``E``, the remaining roundings come to at most ``10 u``
-  relative, which lowers the effective constant 4.5 by less than ``1e-14``.
+* ``a d1^2 (1 - 32 u)`` and ``b d2^2 (1 - 32 u)`` bound ``a d1^2`` and ``b
+  d2^2`` from below. ``a`` and ``b`` are within ``gamma_4`` of exact, and
+  so is each ``d^2``: the difference, the two squares and their sum round
+  once each. Forming ``d^2 (1 - 32 u)`` and its product with ``a`` or
+  ``b`` rounds twice more, so the computed term is at most ``(1 + 10.1
+  u)(1 - 32 u) < 1`` times its exact value.
+* In ``lmin (d1^2 + d2^2)`` the sum of the two ``d^2`` is within
+  ``gamma_5`` of exact, and the quotient and the product round once each,
+  so the computed term is at most ``1 + 7 u`` times its exact value. With
+  the sum ``E`` and the products in ``4.5 E^2``, the roundings that no
+  slack covers come to at most ``11 u`` relative, which lowers the
+  effective constant 4.5 by less than ``1e-14``.
 
 A hint is proven when ``s_hat^2 > 4.5 E^2`` and ``s_hat^2 > 1e-9
 t^2``. Then in exact terms ``s > 2.1213 e`` and ``s^2 > 0.99e-9 T^2``. So
@@ -104,10 +129,11 @@ own bounds assume no underflow, as the table's do.
 A hint that is not the ML decision is never proven, so it only costs
 time. A NaN or infinite input makes a comparison false. A zero user-2
 column gives ``s = 0``, and an exact tie a zero gap, so ``s <= 2e``. Such
-trials take the table path above. The check costs about 0.5 ms per 10^4
-trials (QPSK on a 2-core x86-64 VM). At QPSK 10 dB or less it proves under
-30% of sent codewords, and is a net loss of about that much, but such
-points stop after one 10^4-trial block.
+trials take the table path above. The check costs 0.4-0.6 ms per 10^4
+trials (2,500-trial slices on a 2-core x86-64 VM). At QPSK 10 dB or less,
+or at alpha 0.99 and 20 dB or less, it proves under 45% of sent codewords.
+Where it proves under 20% it is a net loss of 0.4-1.3 ms per 10^4 trials,
+but such points stop after one 10^4-trial block.
 
 Both detectors assume the channel matrix is known exactly and return hard
 decisions (no soft outputs). Ties are broken toward the lowest codeword
@@ -115,11 +141,14 @@ enumeration index so results are reproducible; with continuous noise a tie
 is a measure-zero event.
 """
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import validate_alpha
+from .constellation import _frozen
 
 DETECTORS = ("ml", "sic")
 
@@ -129,6 +158,18 @@ _MARGIN = 1e-12
 _BLOCK = 40_000
 # Unit roundoff of float64; the hint check's slacks are multiples of it.
 _U = 2.0**-53
+
+
+class _MlPlan(NamedTuple):
+    """ML's constants for one constellation and alpha; every array is read-only."""
+
+    x1: np.ndarray  # sqrt(alpha) * points
+    x2: np.ndarray  # sqrt(1 - alpha) * points
+    C: np.ndarray  # 8 x M^2 Gram-form coefficients, row-major codewords
+    p1: float  # max |x1|
+    p2: float  # max |x2|
+    d1: float  # least |x1[k] - x1[l]|^2, k != l
+    d2: float  # least |x2[k] - x2[l]|^2, k != l
 
 
 def _metric(e1, e2):
@@ -150,7 +191,27 @@ def _ml_search(r, h, x1, x2):
     return np.divmod(np.argmin(_score(r, h, np.repeat(x1, M), np.tile(x2, M)), axis=1), M)
 
 
-def _gram_features(r, h, x1, x2):
+def _min_sq_distance(x):
+    """Least ``|x[k] - x[l]|^2`` over ``k != l``."""
+    d = x[:, None] - x
+    d2 = d.real**2 + d.imag**2
+    return d2[~np.eye(len(x), dtype=bool)].min()
+
+
+@functools.lru_cache
+def _ml_plan(c, alpha):
+    """The ``_MlPlan`` of constellation ``c`` at the validated float ``alpha``, built once."""
+    x1, x2 = math.sqrt(alpha) * c.points, math.sqrt(1.0 - alpha) * c.points
+    a, b = np.repeat(x1, c.M), np.tile(x2, c.M)
+    ab = a.conj() * b
+    C = np.stack([-2 * a.real, -2 * a.imag, -2 * b.real, -2 * b.imag,
+                  2 * ab.real, -2 * ab.imag, a.real**2 + a.imag**2, b.real**2 + b.imag**2])
+    return _MlPlan(_frozen(x1), _frozen(x2), _frozen(C), float(np.abs(x1).max()),
+                   float(np.abs(x2).max()), float(_min_sq_distance(x1)),
+                   float(_min_sq_distance(x2)))
+
+
+def _gram_features(r, h, plan):
     """Each trial's 8 real features, in the table's row order, and its scale ``T``."""
     r1, r2 = r
     h11, h12, h21, h22 = h
@@ -162,65 +223,67 @@ def _gram_features(r, h, x1, x2):
     f = f.view(np.float64)
     f[:, 6] = _metric(h11, h21)
     f[:, 7] = _metric(h12, h22)
-    t = (abs(r1) + abs(r2) + (abs(h11) + abs(h21)) * np.abs(x1).max()
-         + (abs(h12) + abs(h22)) * np.abs(x2).max())
+    t = abs(r1) + abs(r2) + (abs(h11) + abs(h21)) * plan.p1 + (abs(h12) + abs(h22)) * plan.p2
     return f, t
 
 
-def _min_sq_distance(x):
-    """Least ``|x[k] - x[l]|^2`` over ``k != l``."""
-    d = x[:, None] - x
-    d2 = d.real**2 + d.imag**2
-    return d2[~np.eye(len(x), dtype=bool)].min()
-
-
-def _hint_proven(r, h, x1, x2, k1, k2, f, t):
-    """Mask of trials whose hint ``(k1, k2)`` is proven the unique float minimum of ``_score``."""
-    r1, r2 = r
-    h11, h12, h21, h22 = h
+def _radius2(f, plan):
+    """Each trial's computed ``s^2``, at most the least ``||H (x(w) - x(w0))||^2`` (module docs)."""
     a, b = f[:, 6], f[:, 7]
     gg = f[:, 4]**2 + f[:, 5]**2
     ab = a * b
     lmax = (a + b + np.sqrt((a - b)**2 + 4 * gg)) / 2 * (1 + 32 * _U)
-    s2 = (ab - gg - 32 * _U * ab) / lmax * min(_min_sq_distance(x1), _min_sq_distance(x2))
-    y1, y2 = x1[k1], x2[k2]
+    lmin = (ab - gg - 32 * _U * ab) / lmax
+    one_user = np.minimum(a * (plan.d1 * (1 - 32 * _U)), b * (plan.d2 * (1 - 32 * _U)))
+    return np.minimum(one_user, lmin * (plan.d1 + plan.d2))
+
+
+def _hint_proven(r, h, plan, k1, k2, f, t):
+    """Mask of trials whose hint ``(k1, k2)`` is proven the unique float minimum of ``_score``."""
+    r1, r2 = r
+    h11, h12, h21, h22 = h
+    s2 = _radius2(f, plan)
+    y1, y2 = plan.x1[k1], plan.x2[k2]
     e = np.sqrt(_metric(r1 - (h11 * y1 + h12 * y2), r2 - (h21 * y1 + h22 * y2))) + 16 * _U * t
     return (s2 > 4.5 * e * e) & (s2 > 1e-9 * t * t)
 
 
-def _ml_gram(r, h, x1, x2, hint):
+def _table_argmin(f, tol, C):
+    """First argmin of each row's table ``f @ C``, and whether its gap exceeds the row's ``tol``."""
+    q = f @ C
+    k = q.argmin(axis=1)
+    i = np.arange(len(k))
+    best = q[i, k]
+    q[i, k] = np.inf
+    return k, q.min(axis=1) - best > tol
+
+
+def _ml_gram(r, h, plan, hint):
     """First argmin of the Gram-form table, with the M^2 search where the gap is unproven.
 
     A trial whose hint is proven by ``_hint_proven`` takes it and skips the table.
     """
-    M = len(x1)
-    a, b = np.repeat(x1, M), np.tile(x2, M)
-    ab = a.conj() * b
-    C = np.stack([-2 * a.real, -2 * a.imag, -2 * b.real, -2 * b.imag,
-                  2 * ab.real, -2 * ab.imag, a.real**2 + a.imag**2, b.real**2 + b.imag**2])
-    f, t = _gram_features(r, h, x1, x2)
+    M = len(plan.x1)
+    f, t = _gram_features(r, h, plan)
     if hint is None:
         j1, j2 = np.empty(len(t), dtype=np.intp), np.empty(len(t), dtype=np.intp)
         todo = np.arange(len(t))
     else:
         j1, j2 = (k.astype(np.intp) for k in hint)
-        todo = np.flatnonzero(~_hint_proven(r, h, x1, x2, *hint, f, t))
+        todo = np.flatnonzero(~_hint_proven(r, h, plan, *hint, f, t))
         f, t = f[todo], t[todo]
     tol = _MARGIN * t * t
     k = np.empty(len(todo), dtype=np.intp)
     certified = np.empty(len(todo), dtype=bool)
     rows = _BLOCK // (M * M)
     for lo in range(0, len(todo), rows):
-        q = f[lo:lo + rows] @ C
-        kb = k[lo:lo + rows] = q.argmin(axis=1)
-        i = np.arange(len(kb))
-        best = q[i, kb]
-        q[i, kb] = np.inf
-        certified[lo:lo + rows] = q.min(axis=1) - best > tol[lo:lo + rows]
+        block = slice(lo, lo + rows)
+        k[block], certified[block] = _table_argmin(f[block], tol[block], plan.C)
     j1[todo], j2[todo] = np.divmod(k, M)
     sub = todo[~certified]
     if len(sub):
-        j1[sub], j2[sub] = _ml_search(tuple(v[sub] for v in r), tuple(v[sub] for v in h), x1, x2)
+        j1[sub], j2[sub] = _ml_search(tuple(v[sub] for v in r), tuple(v[sub] for v in h),
+                                      plan.x1, plan.x2)
     return j1, j2
 
 
@@ -249,9 +312,6 @@ def detect(detector, r, h, alpha, c, hint=None):
     ignores it.
     """
     alpha = validate_alpha(alpha)
-    s1 = math.sqrt(alpha)
-    s2 = math.sqrt(1.0 - alpha)
-    points = c.points
     if detector == "ml":
         if hint is not None:
             hint = tuple(np.asarray(k) for k in hint)
@@ -259,8 +319,11 @@ def detect(detector, r, h, alpha, c, hint=None):
                                      or (k.size and (k.min() < 0 or k.max() >= c.M))
                                      for k in hint):
                 raise ValueError(f"a hint is two arrays of indices in [0, {c.M}), one per trial")
-        return _ml_gram(r, h, s1 * points, s2 * points, hint)
+        return _ml_gram(r, h, _ml_plan(c, alpha), hint)
     if detector == "sic":
+        s1 = math.sqrt(alpha)
+        s2 = math.sqrt(1.0 - alpha)
+        points = c.points
         r1, r2 = r
         h11, h12, h21, h22 = h
         j1 = np.argmin(_metric(r1[:, None] - s1 * h11[:, None] * points,

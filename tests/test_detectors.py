@@ -10,6 +10,11 @@ decision for decision.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,9 +83,79 @@ def sic_oracle(r, h, alpha, c):
 
 def proven(r, h, alpha, c, hint):
     """The hint check's mask: trials whose hint ``detect`` takes without a table."""
-    x1, x2 = math.sqrt(alpha) * c.points, math.sqrt(1.0 - alpha) * c.points
-    f, t = detectors._gram_features(r, h, x1, x2)
-    return detectors._hint_proven(r, h, x1, x2, *hint, f, t)
+    plan = detectors._ml_plan(c, alpha)
+    f, t = detectors._gram_features(r, h, plan)
+    return detectors._hint_proven(r, h, plan, *hint, f, t)
+
+
+def single_radius2(f, plan):
+    """The radius bound before the case split: ``lmin min(d1^2, d2^2)``, with the same slacks."""
+    a, b = f[:, 6], f[:, 7]
+    gg = f[:, 4]**2 + f[:, 5]**2
+    ab = a * b
+    lmax = (a + b + np.sqrt((a - b)**2 + 4 * gg)) / 2 * (1 + 32 * detectors._U)
+    return (ab - gg - 32 * detectors._U * ab) / lmax * min(plan.d1, plan.d2)
+
+
+def exact_metrics(r, h, plan, row):
+    """Exact ``||r - H x(w)||^2`` of trial ``row`` for every codeword (row-major), and ``||r||^2``.
+
+    ``fractions.Fraction`` holds each float input exactly, so nothing rounds.
+    """
+    def cx(z):
+        z = complex(z)
+        return Fraction(z.real), Fraction(z.imag)
+
+    def mul(p, q):
+        return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+    r1, r2 = (cx(v[row]) for v in r)
+    h11, h12, h21, h22 = (cx(v[row]) for v in h)
+    u1 = [(mul(h11, cx(x)), mul(h21, cx(x))) for x in plan.x1]
+    u2 = [(mul(h12, cx(x)), mul(h22, cx(x))) for x in plan.x2]
+    metrics = [sum((r_[i] - p[i] - q[i])**2 for r_, p, q in ((r1, p1, q1), (r2, p2, q2))
+                   for i in (0, 1))
+               for (p1, p2), (q1, q2) in itertools.product(u1, u2)]
+    return metrics, r1[0]**2 + r1[1]**2 + r2[0]**2 + r2[1]**2
+
+
+def certificate_ratios(r, h, alpha, c, hint):
+    """Each certificate of the ML docs, checked in exact arithmetic on every trial.
+
+    Returns the worst ratio to each bound: the table's error over ``22 u T^2``,
+    ``_score``'s error over ``13 u T^2`` (both at most 1 when the bounds
+    hold), and the least exact gap of a proven hint over ``0.0571 s^2`` (at
+    least 1; ``inf`` when none is proven). Asserts that every gap-certified
+    table argmin is the unique minimum of the exact metrics and of the float
+    ``_score`` row.
+    """
+    plan = detectors._ml_plan(c, alpha)
+    f, t = detectors._gram_features(r, h, plan)
+    table = f @ plan.C
+    k, certified = detectors._table_argmin(f, detectors._MARGIN * t * t, plan.C)
+    score = detectors._score(r, h, np.repeat(plan.x1, c.M), np.tile(plan.x2, c.M))
+    mask = detectors._hint_proven(r, h, plan, *hint, f, t)
+    s2 = detectors._radius2(f, plan)
+    w0 = hint[0] * c.M + hint[1]
+    u = Fraction(detectors._U)
+    worst_table = worst_score = Fraction(0)
+    worst_gap = math.inf
+    for row in range(len(t)):
+        metrics, rr = exact_metrics(r, h, plan, row)
+        T2 = Fraction(float(t[row]))**2
+        worst_table = max(worst_table, max(abs(Fraction(float(q)) - (m - rr))
+                                           for q, m in zip(table[row], metrics)) / (22 * u * T2))
+        worst_score = max(worst_score, max(abs(Fraction(float(q)) - m)
+                                           for q, m in zip(score[row], metrics)) / (13 * u * T2))
+        if certified[row]:
+            best = metrics[k[row]]
+            assert all(m > best for w, m in enumerate(metrics) if w != k[row])
+            assert (np.delete(score[row], k[row]) > score[row, k[row]]).all()
+        if mask[row]:
+            m0 = metrics[w0[row]]
+            gap = min(m for w, m in enumerate(metrics) if w != w0[row]) - m0
+            worst_gap = min(worst_gap, gap / (Fraction(0.0571) * Fraction(float(s2[row]))))
+    return float(worst_table), float(worst_score), float(worst_gap)
 
 
 def channel(n, h11, h12, h21, h22):
@@ -197,6 +272,88 @@ def test_hint_check_proves_most_sent_codewords_at_high_snr():
     assert np.array_equal(j1[mask], i1[mask]) and np.array_equal(j2[mask], i2[mask])
 
 
+def test_case_split_radius_never_falls_below_the_single_bound():
+    # min(a d1^2, b d2^2, lmin (d1^2 + d2^2)) against lmin min(d1^2, d2^2),
+    # both as computed, on random channels of both kinds at every alpha.
+    for kind, (k, alpha) in itertools.product(("qpsk", "qam16"), enumerate(ALPHAS)):
+        c = build_constellation(kind)
+        u = trial_stream(700 + k).random((2_000, DRAWS_PER_TRIAL))
+        _, _, h, r = synthesize(u, c, alpha, NoiseModel.from_ebn0_db(20.0).n0)
+        plan = detectors._ml_plan(c, alpha)
+        f, _ = detectors._gram_features(r, h, plan)
+        assert (detectors._radius2(f, plan) >= single_radius2(f, plan)).all()
+
+
+def test_hint_check_proves_most_sent_codewords_at_unequal_powers():
+    # 16QAM, alpha 0.9, 24 dB: the case split proves at least 80% of sent
+    # codewords (the single bound proved about 48%), and a proven codeword
+    # is the ML decision.
+    c = build_constellation("qam16")
+    u = trial_stream(91).random((10_000, DRAWS_PER_TRIAL))
+    i1, i2, h, r = synthesize(u, c, 0.9, NoiseModel.from_ebn0_db(24.0).n0)
+    mask = proven(r, h, 0.9, c, (i1, i2))
+    assert mask.mean() >= 0.8
+    j1, j2 = detect("ml", r, h, 0.9, c)
+    assert np.array_equal(j1[mask], i1[mask]) and np.array_equal(j2[mask], i2[mask])
+
+
+@pytest.mark.parametrize("kind,n_cases", [("qpsk", 240), ("qam16", 24)])
+def test_ml_certificates_hold_in_exact_arithmetic_random_trials(kind, n_cases):
+    # Random trials over every alpha at 0 to 40 dB, each against all M^2
+    # codewords, with the sent codeword as the hint.
+    c = build_constellation(kind)
+    u = trial_stream(4713).random((n_cases, DRAWS_PER_TRIAL))
+    points = list(itertools.product(ALPHAS, (0.0, 20.0, 40.0)))
+    for k, (alpha, ebn0_db) in enumerate(points):
+        i1, i2, h, r = synthesize(u[k::len(points)], c, alpha, NoiseModel.from_ebn0_db(ebn0_db).n0)
+        table, score, gap = certificate_ratios(r, h, alpha, c, (i1, i2))
+        assert table <= 1 and score <= 1 and gap >= 1
+
+
+def test_ml_certificates_hold_in_exact_arithmetic_built_trials():
+    c = build_constellation("qpsk")
+    alpha = 0.9
+    plan = detectors._ml_plan(c, alpha)
+    i1, i2, x1, x2 = scaled_codewords(c, alpha)
+    n = len(i1)
+    # A weak user-1 column and a strong user-2 column: lmin is near a, so
+    # at unequal powers a d1^2 = 0.036 is about 9 times lmin min(d1^2, d2^2).
+    # Noise of squared norm 0.0021 puts 4.5 e^2 between the two bounds.
+    h = channel(n, 0.1, 0.2, 0, 1)
+    r = (0.1 * x1 + 0.2 * x2 + (0.02 + 0.02j), x2 + (0.03 + 0.02j))
+    f, _ = detectors._gram_features(r, h, plan)
+    assert (single_radius2(f, plan) < 4.5 * 0.0021).all()
+    assert proven(r, h, alpha, c, (i1, i2)).all()
+    table, score, gap = certificate_ratios(r, h, alpha, c, (i1, i2))
+    assert table <= 1 and score <= 1 and gap >= 1
+    # Move each received vector from x(w0) toward its user-1 neighbour
+    # (k1 ^ 1), which sits at exactly s = sqrt(a d1^2), by 1 -+ 1e-6 times
+    # the largest e the check accepts, s / sqrt(4.5). Just inside, the hint
+    # is proven and the neighbour's exact gap is (1 - 2 / sqrt(4.5)) s^2,
+    # within 0.2% of the 0.0571 s^2 bound; just outside, it is not proven.
+    s = math.sqrt(0.01 * plan.d1)
+    assert detectors._radius2(f, plan).max() <= s * s
+    step = 0.1 * (plan.x1[i1 ^ 1] - x1)
+    for factor, inside in ((1 - 1e-6, True), (1 + 1e-6, False)):
+        rho = factor / math.sqrt(4.5)
+        r = (0.1 * x1 + 0.2 * x2 + rho * step, x2)
+        assert (proven(r, h, alpha, c, (i1, i2)) == inside).all()
+        table, score, gap = certificate_ratios(r, h, alpha, c, (i1, i2))
+        assert table <= 1 and score <= 1 and gap >= 1
+        assert gap < 1.002 if inside else gap == math.inf
+        assert np.array_equal(detect("ml", r, h, alpha, c, hint=(i1, i2))[0], i1)
+    # Near-singular and singular H^H H: user 2's column is (1 + 1j) times
+    # user 1's plus 1e-7, or exactly twice it. lmin is below 1e-13 or 0, so
+    # nothing is proven, and the table and score bounds still hold.
+    h1 = np.array([0.8 + 0.3j, -0.5 + 0.6j])
+    for h2 in ((1 + 1j) * h1 + 1e-7, 2 * h1):
+        h = channel(n, h1[0], h2[0], h1[1], h2[1])
+        r = (h[0] * x1 + h[1] * x2 + 0.01, h[2] * x1 + h[3] * x2 - 0.01j)
+        assert not proven(r, h, alpha, c, (i1, i2)).any()
+        table, score, gap = certificate_ratios(r, h, alpha, c, (i1, i2))
+        assert table <= 1 and score <= 1 and gap == math.inf
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_hint_check_proves_no_nan_or_infinite_trial():
     # Four trials whose sent codeword is proven get a NaN or an infinity in
@@ -214,6 +371,48 @@ def test_hint_check_proves_no_nan_or_infinite_trial():
     assert not proven(r, h, 0.5, c, (i1, i2))[bad].any()
     without, hinted = detect("ml", r, h, 0.5, c), detect("ml", r, h, 0.5, c, hint=(i1, i2))
     assert np.array_equal(without[0], hinted[0]) and np.array_equal(without[1], hinted[1])
+
+
+def test_ml_plan_is_built_once_per_constellation_and_alpha():
+    c = build_constellation("qam16")
+    plan = detectors._ml_plan(c, 0.9)
+    assert detectors._ml_plan(c, 0.9) is plan
+    assert np.array_equal(plan.x1, math.sqrt(0.9) * c.points)
+    assert np.array_equal(plan.x2, math.sqrt(1.0 - 0.9) * c.points)
+    assert plan.C.shape == (8, c.M * c.M)
+    for a in (plan.x1, plan.x2, plan.C):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    # the next float up is its own key, with its own symbols
+    nxt = detectors._ml_plan(c, float(np.nextafter(0.9, 1)))
+    assert nxt is not plan and not np.array_equal(nxt.x2, plan.x2)
+    assert detectors._ml_plan(build_constellation("qpsk"), 0.9) is not plan
+
+
+def test_ml_decisions_after_another_alpha_match_a_fresh_process(tmp_path):
+    # Deciding at alpha 0.6 first must leave no state that changes the
+    # decisions at 0.9, which a fresh interpreter makes without it.
+    c = build_constellation("qam16")
+    u = trial_stream(93).random((3_000, DRAWS_PER_TRIAL))
+    n0 = NoiseModel.from_ebn0_db(18.0).n0
+    _, _, h, r = synthesize(u, c, 0.6, n0)
+    detect("ml", r, h, 0.6, c)
+    i1, i2, h, r = synthesize(u, c, 0.9, n0)
+    here = [detect("ml", r, h, 0.9, c, hint=hint) for hint in (None, (i1, i2))]
+    script = (
+        "import sys, numpy as np\n"
+        "from noma_uplink import NoiseModel, build_constellation, detect, synthesize\n"
+        "from noma_uplink.rng import DRAWS_PER_TRIAL, trial_stream\n"
+        "c = build_constellation('qam16')\n"
+        "u = trial_stream(93).random((3_000, DRAWS_PER_TRIAL))\n"
+        "i1, i2, h, r = synthesize(u, c, 0.9, NoiseModel.from_ebn0_db(18.0).n0)\n"
+        "np.save(sys.argv[1], [detect('ml', r, h, 0.9, c, hint=k) for k in (None, (i1, i2))])\n"
+    )
+    out = tmp_path / "fresh.npy"
+    src = str(Path(detectors.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", script, str(out)], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src})
+    assert np.array_equal(np.load(out), np.array(here))
 
 
 def test_ml_rejects_malformed_hint():
