@@ -32,9 +32,23 @@ pair of distinct codewords and divides by ``M^2 * 2*log2(M)``.
 
 That average depends on an event only through ``(|u|^2, |v|^2, n_bits)``,
 so it is evaluated on the given constellation's distance spectrum, cached
-per instance (one per kind): each distinct triple with its multiplicity (168
-classes for 16QAM, not 65,280 events), grouped on the exact floating-point
-values, so every class member has the same rounded term.
+per instance (one per kind): each distinct triple with its multiplicity,
+grouped on the exact floating-point values, so every class member has the
+same rounded term. An event is a symbol pair of user 1 with one of user 2,
+so the spectrum is built from per-user classes: one user's M^2 symbol pairs
+grouped on ``(|p_i - p_k|^2, hamming[i, k])`` (3 classes for QPSK, 13 for
+16QAM), each event class a user-1 class with a user-2 class, ``n_bits``
+the sum of theirs and the multiplicity the product, less the one pair in
+which both users keep their symbol. No M^4-row event table is built.
+
+``_bound_plan`` holds what depends only on the constellation and alpha,
+built once per (instance, validated float alpha): each spectrum row's
+``d2`` and one weight per row, ``n_bits`` times the row's power-of-two
+share of its multiplicity. A bound is then the PEPs of those ``d2``, one
+product with the weights, and ``math.fsum``, whose cost (with ``tolist``)
+is the floor of an exactly rounded sum. Folding the power of two into the
+weight rounds the same as scaling the rounded term, down to subnormal
+PEPs (``union_bound_value`` gives the argument).
 
 The symmetry argument: swapping the users maps the event ``(i1, i2) ->
 (k1, k2)`` to ``(i2, i1) -> (k2, k1)``, which turns ``(u, v)`` into
@@ -60,12 +74,13 @@ power of two does not round.
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import validate_alpha, validate_alphas, validate_n0
-from .constellation import build_constellation
+from .constellation import _frozen, build_constellation
 
 
 @dataclass(frozen=True)
@@ -144,31 +159,48 @@ def pairwise_sum_excess(u, v, alpha, n0):
 
 @cache
 def _distance_spectrum(c):
-    """Union-bound terms ``(|u|^2, |v|^2, n_bits, scale)`` of constellation ``c``.
+    """Union-bound terms ``(|u|^2, |v|^2, n_bits, scale)`` of constellation ``c``, read-only.
 
     The events are all M^2 (M^2 - 1) ordered pairs of distinct codewords.
     Each class of equal ``(|u|^2, |v|^2, n_bits)`` with multiplicity ``m``
     becomes one row per set bit ``2^k`` of ``m``, with ``scale = 2^k``.
     """
-    p = c.points
-    diff = (p[:, None] - p[None, :]).ravel()        # symbol pair i*M + k: points[i] - points[k]
-    abs2 = diff.real * diff.real + diff.imag * diff.imag
-    bits = c.hamming.ravel()
-    # an event is a symbol pair of user 1 and a symbol pair of user 2
-    pair1, pair2 = np.divmod(np.arange(abs2.size**2), abs2.size)
-    events = np.stack([abs2[pair1], abs2[pair2], bits[pair1] + bits[pair2]], axis=1)
-    # Distinct labels differ in some bit, so only the identity pair has
-    # n_bits = 0. Rows are grouped by their bytes: every entry is a finite
-    # float >= +0.0, for which equal bytes and equal values coincide. One
-    # 24-byte void per row sorts as a 1-D array: np.unique(events, axis=0)
-    # finds the same 168 16QAM classes about five times slower, and every
-    # 16QAM run builds this spectrum in its setup.
-    rows = events[events[:, 2] > 0].view(np.dtype((np.void, 24)))
-    classes, counts = np.unique(rows.ravel(), return_counts=True)
+    # One user's symbol pairs i*M + k, grouped on (|points[i] - points[k]|^2,
+    # hamming[i, k]) with their counts. Every entry is a finite float >=
+    # +0.0, for which equal values are equal bits.
+    diff = (c.points[:, None] - c.points[None, :]).ravel()
+    pair = np.stack([diff.real * diff.real + diff.imag * diff.imag, c.hamming.ravel()], axis=1)
+    classes, m = np.unique(pair, axis=0, return_counts=True)
+    abs2, bits = classes.T
+    # An event class is a user-1 class with a user-2 class. Distinct labels
+    # differ in some bit, so only the pair of identity classes has n_bits = 0.
+    n = len(m)
+    events = np.stack([np.repeat(abs2, n), np.tile(abs2, n), (bits[:, None] + bits).ravel()], 1)
+    keep = events[:, 2] > 0
+    # no two class pairs share (|u|^2, |v|^2, n_bits) in Gray QPSK or 16QAM,
+    # but pairs that do are merged into one class
+    classes, which = np.unique(events[keep], axis=0, return_inverse=True)
+    counts = np.zeros(len(classes), dtype=np.int64)
+    np.add.at(counts, which.ravel(), np.outer(m, m).ravel()[keep])
     powers = np.arange(int(counts.max()).bit_length())
     row, k = np.nonzero((counts[:, None] >> powers) & 1)
-    abs_u2, abs_v2, n_bits = classes.view(np.float64).reshape(-1, 3)[row].T
-    return abs_u2, abs_v2, n_bits, np.ldexp(1.0, k)
+    return tuple(_frozen(np.array(a)) for a in (*classes[row].T, np.ldexp(1.0, k)))
+
+
+class _BoundPlan(NamedTuple):
+    """The union bound's constants for one constellation and alpha; arrays are read-only."""
+
+    d2: np.ndarray  # alpha*|u|^2 + (1 - alpha)*|v|^2, one per spectrum row
+    weight: np.ndarray  # n_bits * scale, one per spectrum row
+    denominator: int  # M^2 * 2*log2(M)
+
+
+@lru_cache
+def _bound_plan(c, alpha):
+    """The ``_BoundPlan`` of constellation ``c`` at the validated float ``alpha``, built once."""
+    abs_u2, abs_v2, n_bits, scale = _distance_spectrum(c)
+    return _BoundPlan(_frozen(alpha * abs_u2 + (1.0 - alpha) * abs_v2), _frozen(n_bits * scale),
+                      c.M**2 * 2 * c.bits_per_symbol)
 
 
 def union_bound_value(c, alpha, n0):
@@ -176,20 +208,25 @@ def union_bound_value(c, alpha, n0):
 
     Bit for bit the ``fsum`` of ``n_bits * pep_bound(d2, n0)`` over every
     ordered pair of distinct codewords, divided by ``M^2 * 2*log2(M)``. A
-    class of multiplicity ``m`` stands for ``m`` equal rounded terms ``t``;
-    it is fed to ``fsum`` as the terms ``2^k * t`` for the set bits of ``m``.
-    Multiplying by ``2^k`` only changes the exponent, so it is exact unless
-    it overflows, which ``t <= n_bits`` and ``2^k <= m`` rule out. ``fsum``
-    therefore sees the same exact total as from the ``m`` separate terms and
-    rounds it once, the same way. ``tests/test_bounds.py`` checks this
-    against its scalar per-event reference.
+    class of multiplicity ``m`` stands for ``m`` equal rounded terms
+    ``t = fl(n_bits * p)``; it is fed to ``fsum`` as the terms ``2^k * t``
+    for the set bits of ``m``, and ``fsum`` sees the same exact total as
+    from the ``m`` separate terms and rounds it once, the same way.
+
+    Each such term is computed as one product, ``fl((n_bits * 2^k) * p)``,
+    with the weight ``n_bits * 2^k`` (an integer below 2^53) folded in by
+    ``_bound_plan``. That equals ``2^k * t`` for every ``p``: where
+    ``n_bits * p >= 2^-1022``, scaling by ``2^k`` commutes with rounding and
+    cannot overflow, since ``n_bits <= 2*log2(M) <= 8``, ``p <= 1`` and
+    ``2^k <= m``; below ``2^-1022``, ``n_bits * p`` is an exact multiple of
+    ``2^-1074``, so ``t`` is exact and both sides are the exact product.
+    ``tests/test_bounds.py`` checks this against its scalar per-event
+    reference, at an Eb/N0 where the terms are subnormal too.
     """
     alpha = validate_alpha(alpha)
     validate_n0(n0)
-    abs_u2, abs_v2, n_bits, scale = _distance_spectrum(c)
-    d2 = alpha * abs_u2 + (1.0 - alpha) * abs_v2
-    weighted = n_bits * _pep(d2, n0)
-    return math.fsum((scale * weighted).tolist()) / (c.M**2 * 2 * c.bits_per_symbol)
+    plan = _bound_plan(c, alpha)
+    return math.fsum((plan.weight * _pep(plan.d2, n0)).tolist()) / plan.denominator
 
 
 # The 15 QPSK error events for transmitted codeword (0, 0) = (1+1j, 1+1j),

@@ -12,7 +12,9 @@ counts enumerated from the fixed Gray map.
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from noma_uplink import (
     symmetry_gaps,
     union_bound_value,
 )
-from noma_uplink.bounds import _distance_spectrum
+from noma_uplink.bounds import _abs2, _bound_plan, _distance_spectrum
 
 QPSK = build_constellation("qpsk")
 QAM16 = build_constellation("qam16")
@@ -325,14 +327,52 @@ class TestUnionBound:
         # still adds every event's term, in event order.
         keys = [(complex(e.u), complex(e.v), int(e.n_bits)) for e in events]
         distinct = dict(zip(keys, events))
-        for alpha in (0.5, 0.61, 0.75, 0.9, 0.99):
-            for ebn0_db in (-9.8, 0, 8, 16, 20.7, 24, 32, 40):
+        for alpha in (0.5, 0.61, 0.75, 0.9, 0.99, 0.5123):
+            for ebn0_db in (-9.8, 0, 8, 16, 20.7, 24, 32, 40, 1550):
                 n0 = 10.0 ** (-ebn0_db / 10.0)
                 term = {k: e.n_bits * pep_bound(event_norm(e.u, e.v, alpha), n0)
                         for k, e in distinct.items()}
                 expected = math.fsum(term[k] for k in keys)
                 expected /= c.M**2 * 2 * c.bits_per_symbol
                 assert union_bound_value(c, alpha, n0) == expected, (alpha, ebn0_db)
+
+    @pytest.mark.parametrize("c", [QPSK, QAM16], ids=["qpsk", "qam16"])
+    def test_distance_spectrum_counts_every_error_event(self, c, all_error_events):
+        # The spectrum's scales, summed per (|u|^2, |v|^2, n_bits), are the
+        # multiplicities of the M^2 (M^2 - 1) events of the scalar path.
+        events = all_error_events[c.kind]
+        expected = Counter((_abs2(e.u), _abs2(e.v), int(e.n_bits)) for e in events)
+        got = Counter()
+        for abs_u2, abs_v2, n_bits, scale in zip(*(a.tolist() for a in _distance_spectrum(c))):
+            got[abs_u2, abs_v2, n_bits] += scale
+        assert got == expected
+
+    @pytest.mark.parametrize("c", [QPSK, QAM16], ids=["qpsk", "qam16"])
+    def test_cached_distance_spectrum_is_read_only(self, c):
+        # An in-place write to the cached arrays would change every later bound.
+        before = union_bound_value(c, 0.7, 0.01)
+        for a in _distance_spectrum(c):
+            with pytest.raises(ValueError, match="read-only"):
+                a[:] *= 2
+        assert union_bound_value(c, 0.7, 0.01) == before
+
+    def test_bound_plan_is_built_once_per_constellation_and_alpha(self):
+        _bound_plan.cache_clear()
+        n0s = [10.0 ** (-ebn0_db / 10.0) for ebn0_db in range(41)]
+        values = [union_bound_value(QAM16, 0.7, n0) for n0 in n0s]
+        assert _bound_plan.cache_info()[:2] == (40, 1)  # (hits, misses)
+        plan = _bound_plan(QAM16, 0.7)
+        # alpha is keyed as the float that validate_alpha returns
+        for alpha in (np.float64(0.7), Fraction(7, 10)):
+            assert union_bound_value(QAM16, alpha, n0s[20]) == values[20]
+        assert _bound_plan.cache_info().misses == 1
+        for a in plan[:2]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        # the next float up is its own key, with its own distances
+        nxt = _bound_plan(QAM16, float(np.nextafter(0.7, 1)))
+        assert nxt is not plan and not np.array_equal(nxt.d2, plan.d2)
+        assert _bound_plan(QPSK, 0.7) is not plan
 
     @pytest.mark.parametrize("kind", ["qpsk", "qam16"])
     def test_distance_spectrum_is_its_own_user_swap(self, kind):
