@@ -119,7 +119,7 @@ def validate_ebn0_grid(values):
     return grid
 
 
-def synthesize(u, c, alpha, n0):
+def synthesize(u, c, alpha, n0, normals=None):
     """Sent symbols and received vectors for a batch of trials.
 
     ``u`` holds one row of uniforms per trial, in the per-trial draw layout:
@@ -128,11 +128,15 @@ def synthesize(u, c, alpha, n0):
     Returns ``(i1, i2, h, r)``: the sent symbol indices, the channel entries
     ``h = (h11, h12, h21, h22)`` and the received ``r = (r1, r2)``, each an
     array with one value per trial.
+
+    ``normals``, if given, must be ``normals_from_uniforms(u[:, 2:14])`` in a
+    C-contiguous array; it is scaled in place and ``h`` views it.
     """
     alpha = validate_alpha(alpha)
     n0 = validate_n0(n0)
     i1, i2 = (u[:, :2] * c.M).astype(np.int64).T
-    g = np.ascontiguousarray(normals_from_uniforms(u[:, 2:14]))  # C order, for the view
+    # C order, for the complex view
+    g = np.ascontiguousarray(normals_from_uniforms(u[:, 2:14])) if normals is None else normals
     g[:, :8] /= math.sqrt(2.0)
     g[:, 8:] *= math.sqrt(n0)
     h11, h12, h21, h22, w1, w2 = g.view(np.complex128).T

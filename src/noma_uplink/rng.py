@@ -80,7 +80,12 @@ def trial_stream(key, first_trial=0):
     return Generator(bg)
 
 
-def normals_from_uniforms(u):
-    """Standard-normal variates from uniforms in [0, 1) via the inverse CDF."""
+def normals_from_uniforms(u, out=None):
+    """Standard-normal variates from uniforms in [0, 1) via the inverse CDF.
+
+    With ``out`` (an array of ``u``'s shape) the normals are written there
+    and ``out`` is returned, so no array is allocated.
+    """
     # draws are multiples of 2^-53, so this moves only an exact 0.0, where ndtri is -inf
-    return ndtri(np.maximum(u, 2.0**-54))
+    g = np.maximum(u, 2.0**-54, out=out)
+    return ndtri(g, out=g)

@@ -250,6 +250,26 @@ def test_positive_uniforms_are_ndtri_bit_for_bit():
     assert normals_from_uniforms(u).tobytes() == ndtri(u).tobytes()
 
 
+def test_normals_written_to_out_are_the_allocating_call_bit_for_bit():
+    u = gen(5).random((300, DRAWS_PER_TRIAL))
+    u[::7, 2:14:3] = 0.0
+    buf = np.empty((300, 12))
+    assert normals_from_uniforms(u[:, 2:14], out=buf) is buf
+    assert buf.tobytes() == normals_from_uniforms(u[:, 2:14]).tobytes()
+    assert (buf[::7, ::3] == ndtri(2.0**-54)).all()
+
+
+def test_given_normals_are_scaled_in_place_into_the_same_batch():
+    c = build_constellation("qam16")
+    u = gen(12).random((40, DRAWS_PER_TRIAL))
+    expected = synthesize(u, c, 0.8, 0.05)
+    g = normals_from_uniforms(u[:, 2:14], out=np.empty((40, 12)))
+    i1, i2, h, r = synthesize(u, c, 0.8, 0.05, normals=g)
+    assert np.array_equal(i1, expected[0]) and np.array_equal(i2, expected[1])
+    assert np.stack((*h, *r)).tobytes() == np.stack((*expected[2], *expected[3])).tobytes()
+    assert np.shares_memory(h[0], g)
+
+
 @pytest.mark.parametrize("kind", ["qpsk", "qam16"])
 @pytest.mark.parametrize("detector", DETECTORS)
 def test_all_zero_draw_is_finite_and_decodable(kind, detector):

@@ -154,6 +154,22 @@ class TestDeterminism:
         got = run_ber_point(small_cfg(workers=workers), 0.5, 10.0)
         assert ref == got
 
+    def test_worker_invariance_with_partial_slice_and_block(self):
+        # 12,345 trials: one full block, then one block of a single 2,345-trial slice
+        cfg = small_cfg(max_codewords=12_345, min_bit_errors=10**9)
+        ref, *got = (run_ber_point(dataclasses.replace(cfg, workers=w), 0.5, 10.0)
+                     for w in (1, 2, 3))
+        assert ref.codewords_used == 12_345
+        assert got == [ref, ref]
+
+    def test_no_state_carries_over_between_points(self):
+        # each point allocates its own buffers and lock, so a 16QAM point run
+        # first (other values, a full last slice) leaves the next QPSK point as it was
+        qpsk = small_cfg(max_codewords=12_345, min_bit_errors=10**9, workers=2)
+        alone = run_ber_point(qpsk, 0.5, 10.0)
+        run_ber_point(small_cfg(kind="qam16", max_codewords=20_000, workers=2), 0.9, 16.0)
+        assert run_ber_point(qpsk, 0.5, 10.0) == alone
+
     def test_point_is_function_of_values_not_grid(self):
         # The same (alpha, ebn0) point gives the same answer whether it is
         # computed alone or as part of a sweep grid.
@@ -179,22 +195,25 @@ class TestDeterminism:
 
 
 class TestStoppingPolicy:
-    def test_no_trial_drawn_past_stop_index(self, monkeypatch):
-        # At 0 dB the first block already holds 200 bit errors, so with two
-        # workers only that block's 10^4 trials may be drawn.
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_trial_drawn_past_stop_index(self, monkeypatch, workers):
+        # At 0 dB the first block already holds 200 bit errors, so with one
+        # or two workers only that block's 10^4 trials may be drawn.
         drawn = []
 
         class CountingStream:
             def __init__(self, gen):
                 self.gen = gen
 
-            def random(self, shape):
-                drawn.append(shape[0])
-                return self.gen.random(shape)
+            def random(self, *args, **kwargs):
+                # rows of what was drawn, given a shape or an ``out`` array
+                out = self.gen.random(*args, **kwargs)
+                drawn.append(out.shape[0])
+                return out
 
         monkeypatch.setattr(montecarlo, "trial_stream",
                             lambda key, lo=0: CountingStream(trial_stream(key, lo)))
-        p = run_ber_point(small_cfg(workers=2), 0.5, 0.0)
+        p = run_ber_point(small_cfg(workers=workers), 0.5, 0.0)
         assert p.codewords_used == TRIALS_PER_BLOCK
         assert sum(drawn) == p.codewords_used
 
