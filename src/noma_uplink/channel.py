@@ -22,23 +22,24 @@ All sampling consumes uniforms in a fixed order (one uniform per normal
 variate, via the inverse CDF), which is what makes the sliced Monte Carlo
 harness reproducible; see ``rng``. ``synthesize`` is the one signal model:
 it turns a batch of trials into sent indices, channels and received vectors.
-It reads the 12 channel and noise normals of a trial from one inverse-CDF
-call, as six ``complex128`` values, real part first.
+It has one path: it reads the 12 channel and noise normals of a trial from
+one inverse-CDF call of its own, as six ``complex128`` values, real part
+first, and never writes the rows it is given.
 
 Each input rule is checked in one place, here, and every entry point (the
 CLI, ``SimConfig``, ``BerCurve``, ``bounds``, ``synthesize``) calls it:
 ``validate_alpha`` for one alpha, ``validate_alphas`` for an alpha list (not
 a string, not empty, no repeats), ``validate_n0`` for the noise parameter,
-``NoiseModel`` for one operating point, ``validate_ebn0_grid`` for an Eb/N0
-grid (not a string, not empty, strictly increasing) and ``validate_count``
-for a trial, error or worker count (a positive integer). The master-seed
-rule, ``validate_seed`` (an integer in [0, 2**64)), lives in ``rng`` beside
-the stream key it guards.
+``NoiseModel`` for one operating point (an Eb/N0, from which it derives
+n0), ``validate_ebn0_grid`` for an Eb/N0 grid (not a string, not empty,
+strictly increasing) and ``validate_count`` for a trial, error or worker
+count (a positive integer). The master-seed rule, ``validate_seed`` (an
+integer in [0, 2**64)), lives in ``rng`` beside the stream key it guards.
 """
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,27 +87,32 @@ def validate_n0(n0):
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Operating point: Eb/N0 in dB and the matching noise parameter n0.
+    """Operating point: an Eb/N0 in dB and the noise parameter n0 it implies.
 
-    Both must be finite and n0 positive; this is the one check of an
-    operating point.
+    ``ebn0_db`` is the one init field, and ``n0 = 10**(-ebn0_db/10)`` is
+    derived from it, so the two cannot disagree. -0.0 dB is stored as the
+    operating point 0 dB. An Eb/N0 that is not finite, or whose n0
+    overflows to inf or underflows to 0, is rejected; this is the one check
+    of an operating point.
     """
 
     ebn0_db: float
-    n0: float
+    n0: float = field(init=False)
 
     def __post_init__(self):
-        if not math.isfinite(self.ebn0_db):
-            raise ValueError(f"Eb/N0 must be finite, got {self.ebn0_db} dB")
-        validate_n0(self.n0)
+        ebn0_db = float(self.ebn0_db) + 0.0  # -0.0 is the operating point 0 dB
+        if not math.isfinite(ebn0_db):
+            raise ValueError(f"Eb/N0 must be finite, got {ebn0_db} dB")
+        try:
+            n0 = 10.0 ** (-ebn0_db / 10.0)
+        except OverflowError:
+            n0 = math.inf
+        object.__setattr__(self, "ebn0_db", ebn0_db)
+        object.__setattr__(self, "n0", validate_n0(n0))
 
     @classmethod
     def from_ebn0_db(cls, ebn0_db):
-        ebn0_db = float(ebn0_db) + 0.0  # -0.0 is the operating point 0 dB
-        try:
-            return cls(ebn0_db, 10.0 ** (-ebn0_db / 10.0))
-        except OverflowError:
-            return cls(ebn0_db, math.inf)
+        return cls(ebn0_db)
 
 
 def validate_ebn0_grid(values):
@@ -119,7 +125,7 @@ def validate_ebn0_grid(values):
     return grid
 
 
-def synthesize(u, c, alpha, n0, normals=None):
+def synthesize(u, c, alpha, n0):
     """Sent symbols and received vectors for a batch of trials.
 
     ``u`` holds one row of uniforms per trial, in the per-trial draw layout:
@@ -127,16 +133,12 @@ def synthesize(u, c, alpha, n0, normals=None):
     imaginary), 4 noise normals (w1, w2; real then imaginary), then padding.
     Returns ``(i1, i2, h, r)``: the sent symbol indices, the channel entries
     ``h = (h11, h12, h21, h22)`` and the received ``r = (r1, r2)``, each an
-    array with one value per trial.
-
-    ``normals``, if given, must be ``normals_from_uniforms(u[:, 2:14])`` in a
-    C-contiguous array; it is scaled in place and ``h`` views it.
+    array with one value per trial. ``u`` is only read, in any memory order.
     """
     alpha = validate_alpha(alpha)
     n0 = validate_n0(n0)
     i1, i2 = (u[:, :2] * c.M).astype(np.int64).T
-    # C order, for the complex view
-    g = np.ascontiguousarray(normals_from_uniforms(u[:, 2:14])) if normals is None else normals
+    g = np.ascontiguousarray(normals_from_uniforms(u[:, 2:14]))  # C order, for the complex view
     g[:, :8] /= math.sqrt(2.0)
     g[:, 8:] *= math.sqrt(n0)
     h11, h12, h21, h22, w1, w2 = g.view(np.complex128).T

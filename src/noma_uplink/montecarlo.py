@@ -19,16 +19,24 @@ min_bit_errors, max_codewords): the worker count never changes the result.
   reaches ``min_bit_errors`` (or when ``max_codewords`` is exhausted).
   Slices of one block run across the pool (or in the calling thread at one
   worker); nothing past the stop index is computed.
-* A slice runs in two stages. *Produce*: the Philox fill and the
-  inverse-CDF normals write into two buffers that each thread allocates
-  once per point, so a slice allocates no draw or normal array. Both are
-  long calls that release the GIL, so two workers overlap them. *Decide*:
-  the rest of ``synthesize``, ``detect`` and the error count are many short
-  numpy calls, run under one lock per point. Two threads running ``detect``
-  together decided only 0.53-0.85x as many trials per second as one thread
-  alone, while the draw and ``ndtri`` scaled up to 2x (2,500-trial QPSK
-  slices on a 2-vCPU host). Where the draws land and which thread decides
-  them cannot change any ``BerPoint``.
+* A slice runs in two stages. *Produce* is the draw and the signal model:
+  the Philox fill writes into a draw buffer that each thread allocates
+  once per point, and ``synthesize`` turns those rows into channels and
+  received vectors. The fill and ``synthesize``'s ``ndtri`` are long calls
+  that release the GIL, so two workers overlap them. *Decide* is the
+  receiver and the count: ``detect`` and the Hamming sum are many short
+  numpy calls, run under one lock per point. Two threads running
+  ``detect`` together decided only 0.53-0.85x as many trials per second as
+  one thread alone, while the draw and ``ndtri`` scaled up to 2x
+  (2,500-trial QPSK slices on a 2-vCPU host). There is no per-thread
+  normals buffer: ``synthesize`` forms the normals itself, its one path. A
+  QPSK slice at alpha 0.5, 20 dB spends about 0.8 ms per 10^4 trials in
+  the draw, 1.7-1.8 in ``ndtri``, 0.5 in the rest of ``synthesize`` and 1.1
+  in ``detect``; writing the normals into a kept buffer saved an
+  allocation, not the ``ndtri`` time, and moved no end-to-end benchmark
+  metric past its noise. Without it the QPSK benchmark sweep takes about
+  9.6 k minor page faults, not 5.5 k, for that allocation. Where the draws
+  land and which thread decides them cannot change any ``BerPoint``.
 
 A ``BerPoint`` holds what the run chose and counted: (alpha, ebn0_db, kind,
 seed, bit_errors, codewords_used), each checked as ``SimConfig`` checks it
@@ -50,8 +58,7 @@ from .channel import (NoiseModel, synthesize, validate_alpha, validate_alphas, v
                       validate_ebn0_grid)
 from .constellation import build_constellation
 from .detectors import DETECTORS, detect
-from .rng import (DRAWS_PER_TRIAL, normals_from_uniforms, point_stream_key, trial_stream,
-                  validate_seed)
+from .rng import DRAWS_PER_TRIAL, point_stream_key, trial_stream, validate_seed
 
 TRIALS_PER_BLOCK = 10_000
 # Trials drawn and detected as one batch; a block is split into such slices.
@@ -142,22 +149,20 @@ def run_ber_point(cfg, alpha, ebn0_db):
     c = build_constellation(cfg.kind)
     key = point_stream_key(cfg.seed, alpha, nm.ebn0_db)
     rows = min(SLICE, cfg.max_codewords)
-    buffers = threading.local()  # this point's draw and normal buffers, one pair per thread
+    draws = threading.local()  # this point's draw buffer, one per thread
     decider = threading.Lock()
 
     def slice_errors(lo, block_stop):
         """Bit errors in trials ``[lo, min(lo + SLICE, block_stop))``."""
         n = min(SLICE, block_stop - lo)
-        if not hasattr(buffers, "u"):
-            buffers.u = np.empty((rows, DRAWS_PER_TRIAL))
-            buffers.g = np.empty((rows, 12))
-        # produce: two long calls that release the GIL
-        u = trial_stream(key, lo).random(out=buffers.u[:n])
-        g = normals_from_uniforms(u[:, 2:14], out=buffers.g[:n])
+        if not hasattr(draws, "u"):
+            draws.u = np.empty((rows, DRAWS_PER_TRIAL))
+        # produce: the draw and the signal model, whose long calls release the GIL
+        u = trial_stream(key, lo).random(out=draws.u[:n])
+        # sampled noise: variance n0 per real component (see channel module docs)
+        i1, i2, h, r = synthesize(u, c, alpha, nm.n0)
         # decide: many short numpy calls, one thread at a time
         with decider:
-            # sampled noise: variance n0 per real component (see channel module docs)
-            i1, i2, h, r = synthesize(u, c, alpha, nm.n0, normals=g)
             j1, j2 = detect(cfg.detector, r, h, alpha, c, hint=(i1, i2))
             return int((c.hamming[i1, j1] + c.hamming[i2, j2]).sum())
 

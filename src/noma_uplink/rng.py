@@ -80,12 +80,12 @@ def trial_stream(key, first_trial=0):
     return Generator(bg)
 
 
-def normals_from_uniforms(u, out=None):
+def normals_from_uniforms(u):
     """Standard-normal variates from uniforms in [0, 1) via the inverse CDF.
 
-    With ``out`` (an array of ``u``'s shape) the normals are written there
-    and ``out`` is returned, so no array is allocated.
+    Returns a new array of ``u``'s shape; ``u`` is only read. An exact 0.0
+    gives ``ndtri(2**-54)``, a finite normal, in place of -inf.
     """
     # draws are multiples of 2^-53, so this moves only an exact 0.0, where ndtri is -inf
-    g = np.maximum(u, 2.0**-54, out=out)
+    g = np.maximum(u, 2.0**-54)
     return ndtri(g, out=g)

@@ -317,6 +317,33 @@ def test_criterion_6h_ber_ordering_in_alpha():
            " < ".join(f"{p.ber:.2e}" for p in pts))
 
 
+def test_criterion_6i_paired_ber_near_balance():
+    # The paper's claim near alpha = 1/2, where it is sharpest: the same draw
+    # rows go through the signal model and ML at alpha 0.5 and 0.7, so the
+    # per-codeword difference d = e(0.7) - e(0.5) in bit errors has a small
+    # variance. The sums (N, sum d, sum d^2) are exact integers; z is the
+    # mean of d over its standard error.
+    c = build_constellation("qpsk")
+    n0 = NoiseModel.from_ebn0_db(20.0).n0
+    stream = trial_stream(ACCEPTANCE_SEED + 5)
+    n = s1 = s2 = 0
+    for _ in range(400):  # 10^6 trials in 2,500-row slices
+        u = stream.random((2_500, DRAWS_PER_TRIAL))
+        e = []
+        for alpha in (0.5, 0.7):
+            i1, i2, h, r = synthesize(u, c, alpha, n0)
+            j1, j2 = detect("ml", r, h, alpha, c, hint=(i1, i2))
+            e.append(c.hamming[i1, j1] + c.hamming[i2, j2])
+        d = e[1] - e[0]
+        n += d.size
+        s1 += int(d.sum())
+        s2 += int((d * d).sum())
+    # mean / sqrt(var / n), with var the sample variance (n - 1 in the denominator)
+    z = s1 * math.sqrt(n - 1) / math.sqrt(n * s2 - s1 * s1)
+    report("6i (paired QPSK ML at 20 dB: BER(0.7) > BER(0.5), z >= 5)", z >= 5.0,
+           f"z={z:.2f}, sum d={s1} over {n} codewords")
+
+
 def test_criterion_7_channel_statistics():
     # 10^6 channel draws via the documented stream layout; thresholds are
     # 3 sigma of each estimator under the nominal CN(0,1) i.i.d. model.

@@ -139,6 +139,24 @@ class TestPepBound:
         elif d2a == d2b:
             assert pa == pb
 
+    @pytest.mark.parametrize("n0", [1.0, 1e-2, 1e-4])
+    def test_strictly_convex_in_d2(self, n0):
+        # The symmetry argument for alpha = 1/2 needs each PEP strictly convex
+        # in d2. With q = 1/(1 + d2/(4 n0)), pep_bound = q^2, so its second
+        # derivative is 3 q^4 / (8 n0^2) > 0; a central second difference
+        # (step at most 1e-3 of 4 n0 + d2, and never past d2 = 0) must agree.
+        for x in [0.0, *np.logspace(-4, 4, 81).tolist()]:
+            d2 = x * n0
+            q = 1.0 / (1.0 + d2 / (4.0 * n0))
+            closed = 3.0 * q**4 / (8.0 * n0**2)
+            assert closed > 0.0
+            if d2 == 0.0:
+                continue
+            h = min(1e-3 * (4.0 * n0 + d2), d2)
+            diff = (pep_bound(d2 + h, n0) - 2.0 * pep_bound(d2, n0) + pep_bound(d2 - h, n0)) / h**2
+            assert diff > 0.0
+            assert diff == pytest.approx(closed, rel=1e-4), x
+
     @given(
         d2=st.floats(0.1, 50.0),
         n0a=st.floats(1e-4, 10.0),

@@ -104,9 +104,19 @@ def test_noise_model_rejects_non_finite_ebn0(ebn0_db):
         NoiseModel.from_ebn0_db(ebn0_db)
 
 
+def test_noise_model_is_its_ebn0():
+    # n0 is derived from Eb/N0, so an n0 that contradicts it cannot be given
+    with pytest.raises(TypeError):
+        NoiseModel(20.0, 5.0)
+    assert NoiseModel(20).n0 == 0.01
+    assert NoiseModel(-0.0) == NoiseModel(0.0)
+    assert math.copysign(1.0, NoiseModel(-0.0).ebn0_db) == 1.0
+    assert NoiseModel.from_ebn0_db(7.5) == NoiseModel(7.5)
+
+
 @pytest.mark.parametrize("n0", [math.nan, math.inf, -1.0, 0.0])
 def test_noise_model_rejects_non_finite_n0(n0):
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         NoiseModel(20.0, n0)
     with pytest.raises(ValueError):
         validate_n0(n0)
@@ -243,6 +253,9 @@ def test_draw_rows_in_any_memory_order_give_the_same_batch():
 
 def test_zero_uniform_gives_finite_normal():
     assert np.isfinite(normals_from_uniforms(np.array([0.0]))).all()
+    u = gen(5).random((300, DRAWS_PER_TRIAL))
+    u[::7, 2:14:3] = 0.0
+    assert (normals_from_uniforms(u[:, 2:14])[::7, ::3] == ndtri(2.0**-54)).all()
 
 
 def test_positive_uniforms_are_ndtri_bit_for_bit():
@@ -250,24 +263,15 @@ def test_positive_uniforms_are_ndtri_bit_for_bit():
     assert normals_from_uniforms(u).tobytes() == ndtri(u).tobytes()
 
 
-def test_normals_written_to_out_are_the_allocating_call_bit_for_bit():
-    u = gen(5).random((300, DRAWS_PER_TRIAL))
-    u[::7, 2:14:3] = 0.0
-    buf = np.empty((300, 12))
-    assert normals_from_uniforms(u[:, 2:14], out=buf) is buf
-    assert buf.tobytes() == normals_from_uniforms(u[:, 2:14]).tobytes()
-    assert (buf[::7, ::3] == ndtri(2.0**-54)).all()
-
-
-def test_given_normals_are_scaled_in_place_into_the_same_batch():
+def test_synthesize_leaves_its_rows_unchanged():
     c = build_constellation("qam16")
     u = gen(12).random((40, DRAWS_PER_TRIAL))
-    expected = synthesize(u, c, 0.8, 0.05)
-    g = normals_from_uniforms(u[:, 2:14], out=np.empty((40, 12)))
-    i1, i2, h, r = synthesize(u, c, 0.8, 0.05, normals=g)
-    assert np.array_equal(i1, expected[0]) and np.array_equal(i2, expected[1])
-    assert np.stack((*h, *r)).tobytes() == np.stack((*expected[2], *expected[3])).tobytes()
-    assert np.shares_memory(h[0], g)
+    before = u.copy()
+    first = synthesize(u, c, 0.8, 0.05)
+    assert u.tobytes() == before.tobytes()
+    i1, i2, h, r = synthesize(u, c, 0.8, 0.05)
+    assert np.array_equal(i1, first[0]) and np.array_equal(i2, first[1])
+    assert np.stack((*h, *r)).tobytes() == np.stack((*first[2], *first[3])).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["qpsk", "qam16"])
