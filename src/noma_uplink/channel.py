@@ -22,9 +22,10 @@ All sampling consumes uniforms in a fixed order (one uniform per normal
 variate, via the inverse CDF), which is what makes the sliced Monte Carlo
 harness reproducible; see ``rng``. ``synthesize`` is the one signal model:
 it turns a batch of trials into sent indices, channels and received vectors.
-It has one path: it reads the 12 channel and noise normals of a trial from
-one inverse-CDF call of its own, as six ``complex128`` values, real part
-first, and never writes the rows it is given.
+It has one path: it forms a trial's 8 channel and 4 noise normals by
+inverse-CDF calls of its own, as two C-order blocks, each scaled in one
+pass and read as ``complex128`` values (real part first), and never writes
+the rows it is given.
 
 Each input rule is checked in one place, here, and every entry point (the
 CLI, ``SimConfig``, ``BerCurve``, ``bounds``, ``synthesize``) calls it:
@@ -138,10 +139,13 @@ def synthesize(u, c, alpha, n0):
     alpha = validate_alpha(alpha)
     n0 = validate_n0(n0)
     i1, i2 = (u[:, :2] * c.M).astype(np.int64).T
-    g = np.ascontiguousarray(normals_from_uniforms(u[:, 2:14]))  # C order, for the complex view
-    g[:, :8] /= math.sqrt(2.0)
-    g[:, 8:] *= math.sqrt(n0)
-    h11, h12, h21, h22, w1, w2 = g.view(np.complex128).T
+    # C order, for the complex views
+    h = np.ascontiguousarray(normals_from_uniforms(u[:, 2:10]))
+    h /= math.sqrt(2.0)
+    w = np.ascontiguousarray(normals_from_uniforms(u[:, 10:14]))
+    w *= math.sqrt(n0)
+    h11, h12, h21, h22 = h.view(np.complex128).T
+    w1, w2 = w.view(np.complex128).T
     x1 = math.sqrt(alpha) * c.points[i1]
     x2 = math.sqrt(1.0 - alpha) * c.points[i2]
     return i1, i2, (h11, h12, h21, h22), (h11 * x1 + h12 * x2 + w1, h21 * x1 + h22 * x2 + w2)

@@ -14,13 +14,14 @@ minus ``||r||^2`` is ``q(w) = f . C(w)``: eight real features of the trial,
 parts) and ``|h1|^2``, ``|h2|^2``, against the coefficients ``-2 x1``,
 ``-2 x2``, ``2 conj(x1) x2`` (as ``2 Re``, ``-2 Im``), ``|x1|^2`` and
 ``|x2|^2``. So a block of trials costs one real (rows x 8) @ (8 x M^2)
-product. Rows are taken ``_BLOCK // M^2`` at a time, so each table stays
-in cache: on a 2-core x86-64 VM, 16QAM took 4.6-6.4 ms per 10^4 trials in
-40,000-entry blocks, 8.3-9.9 in 5,000-entry blocks and 16-30 in one
-table per 2,500-trial slice. What depends only on the constellation and
-alpha (the scaled symbols, ``C``, ``P1``, ``P2``, ``d1^2`` and ``d2^2``
-below) is built once per (constellation, alpha) by ``_ml_plan``, not per
-call.
+product, and only the trials that the hint check below leaves unproven
+get ``y1``, ``y2`` and a packed row. Rows are taken ``_BLOCK // M^2`` at
+a time, so each table stays in cache: on a 2-core x86-64 VM, 16QAM took
+4.6-6.4 ms per 10^4 trials in 40,000-entry blocks, 8.3-9.9 in 5,000-entry
+blocks and 16-30 in one table per 2,500-trial slice. What depends only
+on the constellation and alpha (the scaled symbols, ``C``, ``P1``, ``P2``,
+``d1^2`` and ``d2^2`` below) is built once per (constellation, alpha) by
+``_ml_plan``, not per call.
 
 The first argmin of a trial's table is its decision when the second
 smallest entry exceeds the smallest by more than ``_MARGIN * T^2``. Here
@@ -129,11 +130,12 @@ own bounds assume no underflow, as the table's do.
 A hint that is not the ML decision is never proven, so it only costs
 time. A NaN or infinite input makes a comparison false. A zero user-2
 column gives ``s = 0``, and an exact tie a zero gap, so ``s <= 2e``. Such
-trials take the table path above. The check costs 0.4-0.6 ms per 10^4
-trials (2,500-trial slices on a 2-core x86-64 VM). At QPSK 10 dB or less,
-or at alpha 0.99 and 20 dB or less, it proves under 45% of sent codewords.
-Where it proves under 20% it is a net loss of 0.4-1.3 ms per 10^4 trials,
-but such points stop after one 10^4-trial block.
+trials take the table path above. The check, with the Gram entries and
+``T`` it reads, costs 0.7-0.9 ms per 10^4 trials (2,500-trial slices on a
+2-core x86-64 VM). At QPSK 10 dB or less, or at alpha 0.99 and 20 dB or
+less, it proves under 45% of sent codewords. Where it proves under 20% it
+is a net loss of 0.2-0.7 ms per 10^4 trials, but such points stop after
+one 10^4-trial block.
 
 Both detectors assume the channel matrix is known exactly and return hard
 decisions (no soft outputs). Ties are broken toward the lowest codeword
@@ -212,25 +214,34 @@ def _ml_plan(c, alpha):
 
 
 def _gram_features(r, h, plan):
-    """Each trial's 8 real features, in the table's row order, and its scale ``T``."""
+    """Each trial's Gram entries ``(g, a, b)`` (module docs) and its scale ``T``."""
     r1, r2 = r
     h11, h12, h21, h22 = h
-    # f's real view: h1^H r, h2^H r, h1^H h2 (re, im), |h1|^2, |h2|^2
-    f = np.empty((len(r1), 4), dtype=complex)
-    f[:, 0] = h11.conj() * r1 + h21.conj() * r2
-    f[:, 1] = h12.conj() * r1 + h22.conj() * r2
-    f[:, 2] = h11.conj() * h12 + h21.conj() * h22
-    f = f.view(np.float64)
-    f[:, 6] = _metric(h11, h21)
-    f[:, 7] = _metric(h12, h22)
+    gab = (h11.conj() * h12 + h21.conj() * h22, _metric(h11, h21), _metric(h12, h22))
     t = abs(r1) + abs(r2) + (abs(h11) + abs(h21)) * plan.p1 + (abs(h12) + abs(h22)) * plan.p2
-    return f, t
+    return gab, t
 
 
-def _radius2(f, plan):
+def _table_features(r, h, gab, rows):
+    """The 8 real features of trials ``rows``, in the table's row order."""
+    r1, r2 = r
+    h11, h12, h21, h22 = h
+    g, a, b = (v[rows] for v in gab)
+    # f's real view: h1^H r, h2^H r, h1^H h2 (re, im), |h1|^2, |h2|^2
+    f = np.empty((len(g), 4), dtype=complex)
+    f[:, 0] = h11[rows].conj() * r1[rows] + h21[rows].conj() * r2[rows]
+    f[:, 1] = h12[rows].conj() * r1[rows] + h22[rows].conj() * r2[rows]
+    f[:, 2] = g
+    f = f.view(np.float64)
+    f[:, 6] = a
+    f[:, 7] = b
+    return f
+
+
+def _radius2(gab, plan):
     """Each trial's computed ``s^2``, at most the least ``||H (x(w) - x(w0))||^2`` (module docs)."""
-    a, b = f[:, 6], f[:, 7]
-    gg = f[:, 4]**2 + f[:, 5]**2
+    g, a, b = gab
+    gg = g.real**2 + g.imag**2
     ab = a * b
     lmax = (a + b + np.sqrt((a - b)**2 + 4 * gg)) / 2 * (1 + 32 * _U)
     lmin = (ab - gg - 32 * _U * ab) / lmax
@@ -238,11 +249,11 @@ def _radius2(f, plan):
     return np.minimum(one_user, lmin * (plan.d1 + plan.d2))
 
 
-def _hint_proven(r, h, plan, k1, k2, f, t):
+def _hint_proven(r, h, plan, k1, k2, gab, t):
     """Mask of trials whose hint ``(k1, k2)`` is proven the unique float minimum of ``_score``."""
     r1, r2 = r
     h11, h12, h21, h22 = h
-    s2 = _radius2(f, plan)
+    s2 = _radius2(gab, plan)
     y1, y2 = plan.x1[k1], plan.x2[k2]
     e = np.sqrt(_metric(r1 - (h11 * y1 + h12 * y2), r2 - (h21 * y1 + h22 * y2))) + 16 * _U * t
     return (s2 > 4.5 * e * e) & (s2 > 1e-9 * t * t)
@@ -264,14 +275,15 @@ def _ml_gram(r, h, plan, hint):
     A trial whose hint is proven by ``_hint_proven`` takes it and skips the table.
     """
     M = len(plan.x1)
-    f, t = _gram_features(r, h, plan)
+    gab, t = _gram_features(r, h, plan)
     if hint is None:
         j1, j2 = np.empty(len(t), dtype=np.intp), np.empty(len(t), dtype=np.intp)
         todo = np.arange(len(t))
+        f = _table_features(r, h, gab, slice(None))  # views, not copies, of every row
     else:
         j1, j2 = (k.astype(np.intp) for k in hint)
-        todo = np.flatnonzero(~_hint_proven(r, h, plan, *hint, f, t))
-        f, t = f[todo], t[todo]
+        todo = np.flatnonzero(~_hint_proven(r, h, plan, *hint, gab, t))
+        f, t = _table_features(r, h, gab, todo), t[todo]
     tol = _MARGIN * t * t
     k = np.empty(len(todo), dtype=np.intp)
     certified = np.empty(len(todo), dtype=bool)

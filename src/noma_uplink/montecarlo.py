@@ -28,15 +28,16 @@ min_bit_errors, max_codewords): the worker count never changes the result.
   numpy calls, run under one lock per point. Two threads running
   ``detect`` together decided only 0.53-0.85x as many trials per second as
   one thread alone, while the draw and ``ndtri`` scaled up to 2x
-  (2,500-trial QPSK slices on a 2-vCPU host). There is no per-thread
-  normals buffer: ``synthesize`` forms the normals itself, its one path. A
-  QPSK slice at alpha 0.5, 20 dB spends about 0.8 ms per 10^4 trials in
-  the draw, 1.7-1.8 in ``ndtri``, 0.5 in the rest of ``synthesize`` and 1.1
-  in ``detect``; writing the normals into a kept buffer saved an
-  allocation, not the ``ndtri`` time, and moved no end-to-end benchmark
-  metric past its noise. Without it the QPSK benchmark sweep takes about
-  9.6 k minor page faults, not 5.5 k, for that allocation. Where the draws
-  land and which thread decides them cannot change any ``BerPoint``.
+  (2,500-trial QPSK slices on a 2-vCPU host).
+* Each thread keeps its Philox generator beside its draw buffer: a slice
+  that starts where the thread's last one ended is drawn from it, any
+  other opens ``trial_stream(key, lo)``. Both read the same doubles, and a
+  one-worker point opens one stream, not one per slice. A QPSK slice at
+  alpha 0.5, 20 dB spends, in ms per 10^4 trials, 1.0-1.2 in the draw,
+  2.2-2.7 in ``ndtri``, 0.4-0.5 in the rest of ``synthesize`` and 1.4-1.6
+  in ``detect``. The QPSK benchmark sweep takes 1.7-2.8 k minor page
+  faults. Where the draws land and which thread decides them cannot
+  change any ``BerPoint``.
 
 A ``BerPoint`` holds what the run chose and counted: (alpha, ebn0_db, kind,
 seed, bit_errors, codewords_used), each checked as ``SimConfig`` checks it
@@ -149,16 +150,20 @@ def run_ber_point(cfg, alpha, ebn0_db):
     c = build_constellation(cfg.kind)
     key = point_stream_key(cfg.seed, alpha, nm.ebn0_db)
     rows = min(SLICE, cfg.max_codewords)
-    draws = threading.local()  # this point's draw buffer, one per thread
+    draws = threading.local()  # this point's draw buffer and stream, one per thread
     decider = threading.Lock()
 
     def slice_errors(lo, block_stop):
         """Bit errors in trials ``[lo, min(lo + SLICE, block_stop))``."""
         n = min(SLICE, block_stop - lo)
         if not hasattr(draws, "u"):
-            draws.u = np.empty((rows, DRAWS_PER_TRIAL))
+            draws.u, draws.stop = np.empty((rows, DRAWS_PER_TRIAL)), None
+        # the thread's stream already stands at trial ``draws.stop``; elsewhere, position one
+        if draws.stop != lo:
+            draws.gen = trial_stream(key, lo)
+        draws.stop = lo + n
         # produce: the draw and the signal model, whose long calls release the GIL
-        u = trial_stream(key, lo).random(out=draws.u[:n])
+        u = draws.gen.random(out=draws.u[:n])
         # sampled noise: variance n0 per real component (see channel module docs)
         i1, i2, h, r = synthesize(u, c, alpha, nm.n0)
         # decide: many short numpy calls, one thread at a time

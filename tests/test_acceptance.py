@@ -317,17 +317,19 @@ def test_criterion_6h_ber_ordering_in_alpha():
            " < ".join(f"{p.ber:.2e}" for p in pts))
 
 
-def test_criterion_6i_paired_ber_near_balance():
-    # The paper's claim near alpha = 1/2, where it is sharpest: the same draw
-    # rows go through the signal model and ML at alpha 0.5 and 0.7, so the
-    # per-codeword difference d = e(0.7) - e(0.5) in bit errors has a small
-    # variance. The sums (N, sum d, sum d^2) are exact integers; z is the
-    # mean of d over its standard error.
-    c = build_constellation("qpsk")
+def paired_z(kind, seed, slices):
+    """z of BER(0.7) - BER(0.5) at 20 dB, paired over ``slices`` 2,500-row slices of one stream.
+
+    The same draw rows go through the signal model and ML at alpha 0.5 and
+    0.7, so the per-codeword difference d = e(0.7) - e(0.5) in bit errors
+    has a small variance. The sums (N, sum d, sum d^2) are exact integers;
+    z is the mean of d over its standard error. Returns (z, sum d, N).
+    """
+    c = build_constellation(kind)
     n0 = NoiseModel.from_ebn0_db(20.0).n0
-    stream = trial_stream(ACCEPTANCE_SEED + 5)
+    stream = trial_stream(seed)
     n = s1 = s2 = 0
-    for _ in range(400):  # 10^6 trials in 2,500-row slices
+    for _ in range(slices):
         u = stream.random((2_500, DRAWS_PER_TRIAL))
         e = []
         for alpha in (0.5, 0.7):
@@ -339,8 +341,21 @@ def test_criterion_6i_paired_ber_near_balance():
         s1 += int(d.sum())
         s2 += int((d * d).sum())
     # mean / sqrt(var / n), with var the sample variance (n - 1 in the denominator)
-    z = s1 * math.sqrt(n - 1) / math.sqrt(n * s2 - s1 * s1)
+    return s1 * math.sqrt(n - 1) / math.sqrt(n * s2 - s1 * s1), s1, n
+
+
+def test_criterion_6i_paired_ber_near_balance():
+    # The paper's claim near alpha = 1/2, where it is sharpest, over 10^6
+    # paired QPSK trials.
+    z, s1, n = paired_z("qpsk", ACCEPTANCE_SEED + 5, 400)
     report("6i (paired QPSK ML at 20 dB: BER(0.7) > BER(0.5), z >= 5)", z >= 5.0,
+           f"z={z:.2f}, sum d={s1} over {n} codewords")
+
+
+def test_criterion_6i_paired_ber_near_balance_qam16():
+    # The same claim for 16QAM over 3 * 10^5 paired trials.
+    z, s1, n = paired_z("qam16", ACCEPTANCE_SEED + 6, 120)
+    report("6i (paired 16QAM ML at 20 dB: BER(0.7) > BER(0.5), z >= 5)", z >= 5.0,
            f"z={z:.2f}, sum d={s1} over {n} codewords")
 
 

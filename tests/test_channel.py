@@ -274,6 +274,35 @@ def test_synthesize_leaves_its_rows_unchanged():
     assert np.stack((*h, *r)).tobytes() == np.stack((*first[2], *first[3])).tobytes()
 
 
+def single_block_synthesize(u, c, alpha, n0):
+    """The signal model as one 12-column normals block, scaled in place by column ranges."""
+    i1, i2 = (u[:, :2] * c.M).astype(np.int64).T
+    g = np.ascontiguousarray(normals_from_uniforms(u[:, 2:14]))
+    g[:, :8] /= math.sqrt(2.0)
+    g[:, 8:] *= math.sqrt(n0)
+    h11, h12, h21, h22, w1, w2 = g.view(np.complex128).T
+    x1 = math.sqrt(alpha) * c.points[i1]
+    x2 = math.sqrt(1.0 - alpha) * c.points[i2]
+    return i1, i2, (h11, h12, h21, h22), (h11 * x1 + h12 * x2 + w1, h21 * x1 + h22 * x2 + w2)
+
+
+@pytest.mark.parametrize("kind", ["qpsk", "qam16"])
+def test_synthesize_equals_the_single_block_formula_bit_for_bit(kind):
+    # the channel and noise normals scaled as two blocks give the bits of one
+    # 12-column block, for rows in C and Fortran order and an exact-0.0 draw
+    c = build_constellation(kind)
+    u = gen(13).random((2_501, DRAWS_PER_TRIAL))
+    u[::97, 2:14] = 0.0
+    for rows in (u, np.asfortranarray(u)):
+        for alpha, n0 in ((0.5, 1.0), (0.8, 0.05), (0.99, 1e-4)):
+            got = synthesize(rows, c, alpha, n0)
+            want = single_block_synthesize(rows, c, alpha, n0)
+            for x, y in zip((got[0], got[1], *got[2], *got[3]),
+                            (want[0], want[1], *want[2], *want[3])):
+                assert np.array_equal(np.ascontiguousarray(x).view(np.uint64),
+                                      np.ascontiguousarray(y).view(np.uint64))
+
+
 @pytest.mark.parametrize("kind", ["qpsk", "qam16"])
 @pytest.mark.parametrize("detector", DETECTORS)
 def test_all_zero_draw_is_finite_and_decodable(kind, detector):

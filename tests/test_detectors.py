@@ -84,14 +84,14 @@ def sic_oracle(r, h, alpha, c):
 def proven(r, h, alpha, c, hint):
     """The hint check's mask: trials whose hint ``detect`` takes without a table."""
     plan = detectors._ml_plan(c, alpha)
-    f, t = detectors._gram_features(r, h, plan)
-    return detectors._hint_proven(r, h, plan, *hint, f, t)
+    gab, t = detectors._gram_features(r, h, plan)
+    return detectors._hint_proven(r, h, plan, *hint, gab, t)
 
 
-def single_radius2(f, plan):
+def single_radius2(gab, plan):
     """The radius bound before the case split: ``lmin min(d1^2, d2^2)``, with the same slacks."""
-    a, b = f[:, 6], f[:, 7]
-    gg = f[:, 4]**2 + f[:, 5]**2
+    g, a, b = gab
+    gg = g.real**2 + g.imag**2
     ab = a * b
     lmax = (a + b + np.sqrt((a - b)**2 + 4 * gg)) / 2 * (1 + 32 * detectors._U)
     return (ab - gg - 32 * detectors._U * ab) / lmax * min(plan.d1, plan.d2)
@@ -130,12 +130,13 @@ def certificate_ratios(r, h, alpha, c, hint):
     ``_score`` row.
     """
     plan = detectors._ml_plan(c, alpha)
-    f, t = detectors._gram_features(r, h, plan)
+    gab, t = detectors._gram_features(r, h, plan)
+    f = detectors._table_features(r, h, gab, np.arange(len(t)))
     table = f @ plan.C
     k, certified = detectors._table_argmin(f, detectors._MARGIN * t * t, plan.C)
     score = detectors._score(r, h, np.repeat(plan.x1, c.M), np.tile(plan.x2, c.M))
-    mask = detectors._hint_proven(r, h, plan, *hint, f, t)
-    s2 = detectors._radius2(f, plan)
+    mask = detectors._hint_proven(r, h, plan, *hint, gab, t)
+    s2 = detectors._radius2(gab, plan)
     w0 = hint[0] * c.M + hint[1]
     u = Fraction(detectors._U)
     worst_table = worst_score = Fraction(0)
@@ -280,8 +281,8 @@ def test_case_split_radius_never_falls_below_the_single_bound():
         u = trial_stream(700 + k).random((2_000, DRAWS_PER_TRIAL))
         _, _, h, r = synthesize(u, c, alpha, NoiseModel.from_ebn0_db(20.0).n0)
         plan = detectors._ml_plan(c, alpha)
-        f, _ = detectors._gram_features(r, h, plan)
-        assert (detectors._radius2(f, plan) >= single_radius2(f, plan)).all()
+        gab, _ = detectors._gram_features(r, h, plan)
+        assert (detectors._radius2(gab, plan) >= single_radius2(gab, plan)).all()
 
 
 def test_hint_check_proves_most_sent_codewords_at_unequal_powers():
@@ -321,8 +322,8 @@ def test_ml_certificates_hold_in_exact_arithmetic_built_trials():
     # Noise of squared norm 0.0021 puts 4.5 e^2 between the two bounds.
     h = channel(n, 0.1, 0.2, 0, 1)
     r = (0.1 * x1 + 0.2 * x2 + (0.02 + 0.02j), x2 + (0.03 + 0.02j))
-    f, _ = detectors._gram_features(r, h, plan)
-    assert (single_radius2(f, plan) < 4.5 * 0.0021).all()
+    gab, _ = detectors._gram_features(r, h, plan)
+    assert (single_radius2(gab, plan) < 4.5 * 0.0021).all()
     assert proven(r, h, alpha, c, (i1, i2)).all()
     table, score, gap = certificate_ratios(r, h, alpha, c, (i1, i2))
     assert table <= 1 and score <= 1 and gap >= 1
@@ -332,7 +333,7 @@ def test_ml_certificates_hold_in_exact_arithmetic_built_trials():
     # is proven and the neighbour's exact gap is (1 - 2 / sqrt(4.5)) s^2,
     # within 0.2% of the 0.0571 s^2 bound; just outside, it is not proven.
     s = math.sqrt(0.01 * plan.d1)
-    assert detectors._radius2(f, plan).max() <= s * s
+    assert detectors._radius2(gab, plan).max() <= s * s
     step = 0.1 * (plan.x1[i1 ^ 1] - x1)
     for factor, inside in ((1 - 1e-6, True), (1 + 1e-6, False)):
         rho = factor / math.sqrt(4.5)
@@ -540,3 +541,24 @@ def test_ml_zero_user2_column_falls_back_to_full_search():
     assert i2.any() and not proven(r, h, 0.7, c, (i1, i2)).any()
     hinted = detect("ml", r, h, 0.7, c, hint=(i1, i2))
     assert np.array_equal(hinted[0], j1) and not hinted[1].any()
+
+
+@pytest.mark.parametrize("kind", ["qpsk", "qam16"])
+def test_ml_decisions_do_not_depend_on_the_batch(kind):
+    # A trial's decision must not depend on the other trials of its batch,
+    # although the hint check leaves each batch a different set of trials
+    # for the table: a slice decided whole, then in random row subsets (in
+    # random order), with the sent codewords, a random hint and no hint.
+    c = build_constellation(kind)
+    rng = np.random.default_rng(2026)
+    u = trial_stream(79).random((2_500, DRAWS_PER_TRIAL))
+    for alpha, ebn0_db in ((0.5, 10.0), (0.9, 24.0)):
+        i1, i2, h, r = synthesize(u, c, alpha, NoiseModel.from_ebn0_db(ebn0_db).n0)
+        for hint in ((i1, i2), tuple(rng.integers(0, c.M, (2, len(i1)))), None):
+            whole = detect("ml", r, h, alpha, c, hint=hint)
+            for size in (1, 157, 1_000, 2_499):
+                rows = rng.choice(len(i1), size, replace=False)
+                part = detect("ml", tuple(v[rows] for v in r), tuple(v[rows] for v in h), alpha,
+                              c, hint=None if hint is None else tuple(k[rows] for k in hint))
+                assert np.array_equal(part[0], whole[0][rows])
+                assert np.array_equal(part[1], whole[1][rows])

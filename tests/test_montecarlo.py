@@ -217,6 +217,32 @@ class TestStoppingPolicy:
         assert p.codewords_used == TRIALS_PER_BLOCK
         assert sum(drawn) == p.codewords_used
 
+    def test_one_worker_point_opens_one_stream(self, monkeypatch):
+        # A 3-block point at one worker draws every slice from the stream
+        # its first slice opened; its errors are those of a stream opened at
+        # each slice, decided without a hint, and its BerPoint that of two workers.
+        opened = []
+
+        def counting_stream(key, lo=0):
+            opened.append(lo)
+            return trial_stream(key, lo)
+
+        cfg = small_cfg(max_codewords=3 * TRIALS_PER_BLOCK, min_bit_errors=10**9)
+        monkeypatch.setattr(montecarlo, "trial_stream", counting_stream)
+        p = run_ber_point(cfg, 0.5, 10.0)
+        monkeypatch.undo()
+        assert opened == [0] and p.codewords_used == 3 * TRIALS_PER_BLOCK
+        c = build_constellation(cfg.kind)
+        n0 = NoiseModel.from_ebn0_db(10.0).n0
+        errors = 0
+        for lo in range(0, p.codewords_used, montecarlo.SLICE):
+            u = trial_stream(p.stream_key, lo).random((montecarlo.SLICE, DRAWS_PER_TRIAL))
+            i1, i2, h, r = synthesize(u, c, 0.5, n0)
+            j1, j2 = detect("ml", r, h, 0.5, c)
+            errors += int((c.hamming[i1, j1] + c.hamming[i2, j2]).sum())
+        assert p.bit_errors == errors
+        assert run_ber_point(dataclasses.replace(cfg, workers=2), 0.5, 10.0) == p
+
     def test_stops_at_block_boundary_after_min_errors(self):
         cfg = small_cfg()
         p = run_ber_point(cfg, 0.9, 8.0)
