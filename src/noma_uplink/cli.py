@@ -25,7 +25,7 @@ import argparse
 import csv
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from datetime import datetime, timezone
 
 from . import __version__
@@ -199,8 +199,10 @@ def _cmd_ber(args):
     params = {"constellation": cfg.kind, "detector": cfg.detector, "alpha_list": cfg.alphas,
               "snr_grid_db": cfg.ebn0_db_grid, "min_errors": cfg.min_bit_errors,
               "max_codewords": cfg.max_codewords}
-    with _csv_out(args.out, "ber", params, _BER_COLUMNS, seed=cfg.seed) as (row, fh):
-        for p in sweep_points(cfg):
+    # closing: an interrupt in the loop body stops the sweep's running points now, not at exit
+    with (_csv_out(args.out, "ber", params, _BER_COLUMNS, seed=cfg.seed) as (row, fh),
+          closing(sweep_points(cfg)) as points):
+        for p in points:
             row(getattr(p, name) for name in _BER_COLUMNS)
             fh.flush()
             print(f"alpha={p.alpha:g} Eb/N0={p.ebn0_db:g} dB: ber={p.ber:.3e} "
@@ -301,7 +303,8 @@ def build_parser():
     p.add_argument("--seed", type=_seed, default=SimConfig.seed)
     p.add_argument("--min-errors", type=_count, default=SimConfig.min_bit_errors)
     p.add_argument("--max-codewords", type=_count, default=SimConfig.max_codewords)
-    p.add_argument("--workers", type=_count, default=SimConfig.workers)
+    p.add_argument("--workers", type=_count, default=SimConfig.workers,
+                   help="points run in parallel")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ber)
 

@@ -17,27 +17,29 @@ min_bit_errors, max_codewords): the worker count never changes the result.
 * The stopping rule is evaluated on fixed blocks of 10^4 trials: the point
   stops after the first block at which the cumulative bit-error count
   reaches ``min_bit_errors`` (or when ``max_codewords`` is exhausted).
-  Slices of one block run across the pool (or in the calling thread at one
-  worker); nothing past the stop index is computed.
-* A slice runs in two stages. *Produce* is the draw and the signal model:
-  the Philox fill writes into a draw buffer that each thread allocates
-  once per point, and ``synthesize`` turns those rows into channels and
-  received vectors. The fill and ``synthesize``'s ``ndtri`` are long calls
-  that release the GIL, so two workers overlap them. *Decide* is the
-  receiver and the count: ``detect`` and the Hamming sum are many short
-  numpy calls, run under one lock per point. Two threads running
-  ``detect`` together decided only 0.53-0.85x as many trials per second as
-  one thread alone, while the draw and ``ndtri`` scaled up to 2x
-  (2,500-trial QPSK slices on a 2-vCPU host).
-* Each thread keeps its Philox generator beside its draw buffer: a slice
-  that starts where the thread's last one ended is drawn from it, any
-  other opens ``trial_stream(key, lo)``. Both read the same doubles, and a
-  one-worker point opens one stream, not one per slice. A QPSK slice at
-  alpha 0.5, 20 dB spends, in ms per 10^4 trials, 1.0-1.2 in the draw,
-  2.2-2.7 in ``ndtri``, 0.4-0.5 in the rest of ``synthesize`` and 1.4-1.6
-  in ``detect``. The QPSK benchmark sweep takes 1.7-2.8 k minor page
-  faults. Where the draws land and which thread decides them cannot
-  change any ``BerPoint``.
+  A point runs its slices in order in the calling thread, from one Philox
+  stream opened at trial 0 into one draw buffer; nothing past the stop
+  index is drawn.
+* A slice is one call of a per-slice function, so its arrays are freed
+  before the next slice is drawn (a slice inlined in the block loop kept
+  the last one's arrays alive and read 0.6 MB more peak RSS on the 16QAM
+  benchmark). It *produces*: the Philox fill into the draw buffer and
+  ``synthesize``, whose long calls (the fill and ``ndtri``) release the
+  GIL. Then it *decides*: ``detect`` and the Hamming sum, many short numpy
+  calls, run under one module-level lock, so one thread decides at a time.
+  Two threads running ``detect`` together decided only 0.53-0.85x as many
+  trials per second as one thread alone (2,500-trial QPSK slices on a
+  2-vCPU host). A QPSK slice at alpha 0.5, 20 dB spends, in ms per 10^4
+  trials, 1.0-1.2 in the draw, 2.2-2.7 in ``ndtri``, 0.4-0.5 in the rest of
+  ``synthesize`` and 1.4-1.6 in ``detect``.
+* Workers run whole points. ``sweep_points`` submits a sweep's points to
+  ``cfg.workers`` threads, highest Eb/N0 first (the long points; ties in
+  alpha order), and yields them in sweep order; at one worker it runs them
+  in the calling thread. Closing the sweep, or an exception in it, cancels
+  the pending points and sets the ``stop`` event it passed to the running
+  ones, each of which raises ``CancelledError`` at its next block instead
+  of returning a partial ``BerPoint``. Which thread runs a point cannot
+  change it.
 
 A ``BerPoint`` holds what the run chose and counted: (alpha, ebn0_db, kind,
 seed, bit_errors, codewords_used), each checked as ``SimConfig`` checks it
@@ -51,9 +53,10 @@ bound witness, not a rate. A ``BerCurve`` stores its points as a tuple.
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice
 
 from .channel import (NoiseModel, synthesize, validate_alpha, validate_alphas, validate_count,
                       validate_ebn0_grid)
@@ -64,6 +67,8 @@ from .rng import DRAWS_PER_TRIAL, point_stream_key, trial_stream, validate_seed
 TRIALS_PER_BLOCK = 10_000
 # Trials drawn and detected as one batch; a block is split into such slices.
 SLICE = 2_500
+# One decider at a time across the threads of every sweep in the process.
+_DECIDER = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -139,57 +144,65 @@ class BerCurve:
         object.__setattr__(self, "alpha", alphas.pop())
 
 
-def run_ber_point(cfg, alpha, ebn0_db):
-    """Estimate the BER at one (alpha, Eb/N0) point under ``cfg``'s policy."""
-    import threading
+def _slice_errors(cfg, c, alpha, n0, u):
+    """Bit errors in the trials of draw rows ``u``; the slice's arrays go on return."""
+    # produce: the signal model, whose long calls release the GIL
+    # sampled noise: variance n0 per real component (see channel module docs)
+    i1, i2, h, r = synthesize(u, c, alpha, n0)
+    # decide: many short numpy calls, one thread at a time
+    with _DECIDER:
+        j1, j2 = detect(cfg.detector, r, h, alpha, c, hint=(i1, i2))
+        return int((c.hamming[i1, j1] + c.hamming[i2, j2]).sum())
 
+
+def run_ber_point(cfg, alpha, ebn0_db, *, stop=None):
+    """Estimate the BER at one (alpha, Eb/N0) point under ``cfg``'s policy.
+
+    The slices run in the calling thread. Once ``stop`` (a ``threading.Event``,
+    or None) is set, the point raises ``CancelledError`` at its next block.
+    """
     import numpy as np
 
     alpha = validate_alpha(alpha)
     nm = NoiseModel.from_ebn0_db(ebn0_db)
     c = build_constellation(cfg.kind)
-    key = point_stream_key(cfg.seed, alpha, nm.ebn0_db)
-    rows = min(SLICE, cfg.max_codewords)
-    draws = threading.local()  # this point's draw buffer and stream, one per thread
-    decider = threading.Lock()
-
-    def slice_errors(lo, block_stop):
-        """Bit errors in trials ``[lo, min(lo + SLICE, block_stop))``."""
-        n = min(SLICE, block_stop - lo)
-        if not hasattr(draws, "u"):
-            draws.u, draws.stop = np.empty((rows, DRAWS_PER_TRIAL)), None
-        # the thread's stream already stands at trial ``draws.stop``; elsewhere, position one
-        if draws.stop != lo:
-            draws.gen = trial_stream(key, lo)
-        draws.stop = lo + n
-        # produce: the draw and the signal model, whose long calls release the GIL
-        u = draws.gen.random(out=draws.u[:n])
-        # sampled noise: variance n0 per real component (see channel module docs)
-        i1, i2, h, r = synthesize(u, c, alpha, nm.n0)
-        # decide: many short numpy calls, one thread at a time
-        with decider:
-            j1, j2 = detect(cfg.detector, r, h, alpha, c, hint=(i1, i2))
-            return int((c.hamming[i1, j1] + c.hamming[i2, j2]).sum())
-
+    gen = trial_stream(point_stream_key(cfg.seed, alpha, nm.ebn0_db))
+    buf = np.empty((min(SLICE, cfg.max_codewords), DRAWS_PER_TRIAL))
     errors = 0
-    trials = 0
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        # a pool starts its threads on the first submit: one worker runs in this thread
-        run_slices = pool.map if cfg.workers > 1 else map
-        for first in range(0, cfg.max_codewords, TRIALS_PER_BLOCK):
-            trials = min(first + TRIALS_PER_BLOCK, cfg.max_codewords)
-            errors += sum(run_slices(slice_errors, range(first, trials, SLICE), repeat(trials)))
-            if errors >= cfg.min_bit_errors:
-                break
+    for first in range(0, cfg.max_codewords, TRIALS_PER_BLOCK):
+        if stop is not None and stop.is_set():
+            raise CancelledError(f"point alpha={alpha} Eb/N0={nm.ebn0_db} dB was stopped")
+        trials = min(first + TRIALS_PER_BLOCK, cfg.max_codewords)
+        for lo in range(first, trials, SLICE):
+            # the buffer's length caps a slice at SLICE rows
+            errors += _slice_errors(cfg, c, alpha, nm.n0, gen.random(out=buf[:trials - lo]))
+        if errors >= cfg.min_bit_errors:
+            break
     return BerPoint(alpha=alpha, ebn0_db=nm.ebn0_db, kind=cfg.kind, seed=cfg.seed,
                     bit_errors=errors, codewords_used=trials)
 
 
 def sweep_points(cfg):
-    """Yield each BerPoint of ``cfg``'s sweep as it finishes, alpha-major then Eb/N0."""
-    for a in cfg.alphas:
-        for s in cfg.ebn0_db_grid:
-            yield run_ber_point(cfg, a, s)
+    """Yield each BerPoint of ``cfg``'s sweep in sweep order, alpha-major then Eb/N0.
+
+    ``cfg.workers`` threads run whole points, highest Eb/N0 first; one worker
+    runs them in the calling thread. Closing the generator cancels the
+    pending points and stops the running ones at their next block.
+    """
+    grid = [(a, s) for a in cfg.alphas for s in cfg.ebn0_db_grid]
+    if cfg.workers == 1:
+        yield from (run_ber_point(cfg, a, s) for a, s in grid)
+        return
+    stop = threading.Event()
+    pool = ThreadPoolExecutor(max_workers=cfg.workers)
+    try:
+        # the long points first: the grid's Eb/N0 values increase, ties go in alpha order
+        futures = {(a, s): pool.submit(run_ber_point, cfg, a, s, stop=stop)
+                   for s in reversed(cfg.ebn0_db_grid) for a in cfg.alphas}
+        yield from (futures[point].result() for point in grid)
+    finally:
+        stop.set()
+        pool.shutdown(cancel_futures=True)
 
 
 def sweep(cfg):

@@ -97,6 +97,27 @@ def test_sweep_is_eager():
         assert all(isinstance(p, noma_uplink.BerPoint) for p in curve.points)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tracer_sees_every_point_and_draw_of_a_sweep(workers):
+    # perfbench's point spans, trial counts and kernel split come from the
+    # tracer's patch of run_ber_point and trial_stream; a sweep that ran its
+    # points around them would set those metrics to zero without an error
+    cfg = SimConfig(alphas=(0.5, 0.9), ebn0_db_grid=(0.0, 10.0, 20.0), max_codewords=30_000,
+                    workers=workers)
+    tracer = _load("layertrace").Tracer()
+    tracer.install()
+    try:
+        points = [p for curve in noma_uplink.sweep(cfg) for p in curve.points]
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    spans = [sp for sp in tracer.spans if sp[0] == "montecarlo.point"]
+    assert sorted(sp[4] for sp in spans) == sorted(p.codewords_used for p in points)
+    assert len(spans) == len(points) == 6
+    drawn = sum(sp[5] for sp in tracer.spans if sp[0] == "rng.draw")
+    assert drawn == sum(p.codewords_used for p in points)
+
+
 def test_child_uses_only_package_attributes():
     used = set(re.findall(r"\bnu\.(\w+)", (_PERFBENCH / "child.py").read_text()))
     used.discard("__file__")

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import sys
+import threading
+from concurrent.futures import CancelledError
 
 import numpy as np
 import pytest
@@ -163,8 +166,8 @@ class TestDeterminism:
         assert got == [ref, ref]
 
     def test_no_state_carries_over_between_points(self):
-        # each point allocates its own buffers and lock, so a 16QAM point run
-        # first (other values, a full last slice) leaves the next QPSK point as it was
+        # each point opens its own stream and allocates its own draw buffer, so a 16QAM
+        # point run first (other values, a full last slice) leaves the next QPSK point as it was
         qpsk = small_cfg(max_codewords=12_345, min_bit_errors=10**9, workers=2)
         alone = run_ber_point(qpsk, 0.5, 10.0)
         run_ber_point(small_cfg(kind="qam16", max_codewords=20_000, workers=2), 0.9, 16.0)
@@ -287,6 +290,89 @@ class TestSweep:
         cfg = small_cfg(alphas=(0.9, 0.5), ebn0_db_grid=(4.0, 8.0),
                         min_bit_errors=20, max_codewords=10_000)
         assert list(sweep_points(cfg)) == [p for c in sweep(cfg) for p in c.points]
+
+    def test_sweep_points_equal_at_1_2_and_8_workers(self):
+        # the 0 and 10 dB points stop after one block and the 20 dB points run
+        # two blocks or to the 4-block cap, so with threads the points finish
+        # out of sweep order
+        cfg = small_cfg(alphas=(0.5, 0.9), ebn0_db_grid=(0.0, 10.0, 20.0), max_codewords=40_000)
+        ref = list(sweep_points(cfg))
+        assert [(p.alpha, p.ebn0_db) for p in ref] == [
+            (a, s) for a in cfg.alphas for s in cfg.ebn0_db_grid]
+        assert [p.codewords_used for p in ref] == [10_000, 10_000, 40_000, 10_000, 10_000, 20_000]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so the decide lock is contended
+        try:
+            for workers in (2, 8):
+                assert list(sweep_points(dataclasses.replace(cfg, workers=workers))) == ref
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_closing_a_sweep_stops_its_points(self, monkeypatch):
+        # At 20 dB the alpha 0.99 point reaches 2,000 bit errors in one block and
+        # the other three need about 80 blocks each. Two workers start 0.99 and
+        # 0.5; when 0.99 is read, 0.6 may have started and 0.7 is pending.
+        # Closing the sweep cancels 0.7, stops each running point within one
+        # more block and joins the pool's threads.
+        stops, opened, draws = [], [], []  # draws: (stream key, rows, stop already set)
+
+        class CountingStream:
+            def __init__(self, key, gen):
+                self.key, self.gen = key, gen
+                opened.append(key)
+
+            def random(self, *args, **kwargs):
+                stopped = any(stop.is_set() for stop in stops)
+                out = self.gen.random(*args, **kwargs)
+                draws.append((self.key, out.shape[0], stopped))
+                return out
+
+        def recording_point(cfg, alpha, ebn0_db, *, stop=None):
+            stops.append(stop)
+            return run_ber_point(cfg, alpha, ebn0_db, stop=stop)
+
+        monkeypatch.setattr(montecarlo, "trial_stream",
+                            lambda key, lo=0: CountingStream(key, trial_stream(key, lo)))
+        monkeypatch.setattr(montecarlo, "run_ber_point", recording_point)
+        cfg = small_cfg(alphas=(0.99, 0.5, 0.6, 0.7), ebn0_db_grid=(20.0,),
+                        min_bit_errors=2_000, max_codewords=10**7, workers=2)
+        threads = threading.active_count()
+        points = sweep_points(cfg)
+        assert next(points).codewords_used == TRIALS_PER_BLOCK
+        points.close()
+        assert threading.active_count() == threads
+        assert stops and all(stop is stops[0] for stop in stops) and stops[0].is_set()
+        key = {a: point_stream_key(cfg.seed, a, 20.0) for a in cfg.alphas}
+        assert key[0.5] in opened and key[0.7] not in opened
+        for k in set(opened) - {key[0.99]}:
+            assert sum(rows for kk, rows, stopped in draws if kk == k and stopped) <= (
+                TRIALS_PER_BLOCK)
+            assert sum(rows for kk, rows, _ in draws if kk == k) < 20 * TRIALS_PER_BLOCK
+
+    def test_stopped_point_raises_instead_of_returning(self, monkeypatch):
+        stop = threading.Event()
+        stop.set()
+        with pytest.raises(CancelledError):
+            run_ber_point(small_cfg(), 0.5, 10.0, stop=stop)
+        # set during the first block: that block completes, the second never starts
+        stop.clear()
+        drawn = []
+
+        class StoppingStream:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def random(self, *args, **kwargs):
+                stop.set()
+                out = self.gen.random(*args, **kwargs)
+                drawn.append(out.shape[0])
+                return out
+
+        monkeypatch.setattr(montecarlo, "trial_stream",
+                            lambda key, lo=0: StoppingStream(trial_stream(key, lo)))
+        with pytest.raises(CancelledError):
+            run_ber_point(small_cfg(min_bit_errors=10**9), 0.5, 10.0, stop=stop)
+        assert sum(drawn) == TRIALS_PER_BLOCK
 
     def test_ber_decreases_with_snr(self):
         cfg = small_cfg(alphas=(0.5,), ebn0_db_grid=(0.0, 6.0, 12.0))
