@@ -46,6 +46,11 @@ import numpy as np
 
 from .rng import normals_from_uniforms
 
+# Columns of the per-trial draw layout (see ``synthesize``) holding the
+# channel's 8 and the noise's 4 normals.
+CHANNEL_COLUMNS = slice(2, 10)
+NOISE_COLUMNS = slice(10, 14)
+
 
 def validate_alpha(alpha):
     """Check the power-imbalance factor is in [1/2, 1); return it as float."""
@@ -140,9 +145,9 @@ def synthesize(u, c, alpha, n0):
     n0 = validate_n0(n0)
     i1, i2 = (u[:, :2] * c.M).astype(np.int64).T
     # C order, for the complex views
-    h = np.ascontiguousarray(normals_from_uniforms(u[:, 2:10]))
+    h = np.ascontiguousarray(normals_from_uniforms(u[:, CHANNEL_COLUMNS]))
     h /= math.sqrt(2.0)
-    w = np.ascontiguousarray(normals_from_uniforms(u[:, 10:14]))
+    w = np.ascontiguousarray(normals_from_uniforms(u[:, NOISE_COLUMNS]))
     w *= math.sqrt(n0)
     h11, h12, h21, h22 = h.view(np.complex128).T
     w1, w2 = w.view(np.complex128).T

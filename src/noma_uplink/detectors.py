@@ -2,9 +2,10 @@
 metrics, and a 2M-metric successive-interference-cancellation baseline.
 
 ``detect`` is the one implementation of both: it decides a whole batch of
-received vectors at once, and the Monte Carlo harness calls it on every
-slice of trials, with the sent codewords as an optional hint that ML
-checks before building any table.
+received vectors at once, with the sent codewords as an optional hint that
+ML checks before building any table. The Monte Carlo harness calls it on
+the trials that ``bracket_proven`` (below) leaves unproven, and SIC on
+every trial.
 
 ML uses the sphere decoder's expansion (Viterbo & Boutros, IEEE Trans. IT
 1999). With ``x1 = s1 p[i1]``, ``x2 = s2 p[i2]`` and the user columns
@@ -137,6 +138,78 @@ less, it proves under 45% of sent codewords. Where it proves under 20% it
 is a net loss of 0.2-0.7 ms per 10^4 trials, but such points stop after
 one 10^4-trial block.
 
+The Monte Carlo harness proves most sent codewords before any normal is
+computed. ``bracket_proven`` reads draw rows, not received vectors: for
+each of a row's 12 normals, ``rng.normal_brackets`` gives a midpoint
+``m`` and a radius ``q`` with ``|z - m| <= q`` for the float normal ``z``
+that ``synthesize`` would compute, and ``q >= 2**-32 |m|`` (see ``rng``).
+``synthesize`` forms each channel part as ``fl(z / fl(sqrt(2)))`` and
+each noise part as ``fl(z fl(sqrt(n0)))``, and the received vector as
+``r = H x(w0) + w + dr``, where ``x(w0)`` is the sent codeword, with the
+plan's ``x1`` and ``x2`` (the same float products), and ``dr`` is the
+rounding of ``r``. A row is proven when its sent codeword is the unique
+float minimum of ``_score`` on that ``H`` and ``r``, by the same argument
+as the hint check, with a lower bound ``S`` on ``s`` and upper bounds
+``E`` on ``e`` and ``T_up`` on ``T``, all read from the brackets. In
+exact arithmetic on the float brackets, with ``Hm`` the channel whose
+parts are the midpoints over ``sqrt(2)`` and ``wm`` the noise midpoints
+times ``sqrt(n0)``:
+
+* Each part of ``H - Hm`` is at most ``(q + gamma_2 (|m| + q)) / sqrt(2)
+  <= q (1 + 2**-19) / sqrt(2)``, since ``|m| <= 2**32 q``. So ``||H -
+  Hm||_F <= rho_H``, with ``rho_H = (1 + 2**-19) ||q_H|| / sqrt(2)`` for
+  the norm of the 8 channel radii. Likewise ``||w - wm|| <= rho_w = (1 +
+  2**-19) sqrt(n0) ||q_w||``.
+* ``s_m = sqrt(s^2 / 2)``, with ``s^2`` from ``_radius2`` on the Gram
+  entries of the (unscaled) channel midpoints, bounds from below the
+  ``s`` of ``Hm``, whose Gram matrix is half theirs. Then ``S = s_m -
+  rho_H sqrt(d1^2 + d2^2)`` bounds every ``||H D||`` from below, case by
+  case. If only user 1's symbol differs, ``||h1 D1|| >= (||hm1|| - rho_H)
+  |D1|``, which is at least ``(||hm1|| - rho_H) d1 >= S`` when ``||hm1||
+  >= rho_H`` (``s_m <= ||hm1|| d1``) and exceeds the negative ``S``
+  otherwise; user 2 alone is the same. If both differ, ``||H D|| >= (sigma_min(Hm) -
+  rho_H) ||D||`` by Weyl's inequality for singular values, and
+  ``sigma_min(Hm) sqrt(d1^2 + d2^2) >= s_m``.
+* ``e = ||w + dr|| <= ||wm|| + rho_w + ||dr||``. Each real part of
+  ``dr`` is within ``gamma_4`` of the absolute sum of its four products
+  and its noise part, which is at most ``B_i = |h_i1| P1 + |h_i2| P2 +
+  |w_i|``. So ``||dr|| <= sqrt(2) gamma_4 (B_1 + B_2) <= 2.9 u T_up``
+  below.
+* ``T <= 2 (B_1 + B_2) (1 + 3 u)``, since ``|r_i| <= B_i (1 + sqrt(2)
+  gamma_4)``. With ``|h11| + |h21| <= sqrt(2) ||h1|| <= sqrt(2)
+  (||hm1|| + rho_H)``, the same for user 2 and ``|w1| + |w2| <= sqrt(2)
+  (||wm|| + rho_w)``, ``T_up = 2 sqrt(2) ((||hm1|| + rho_H) P1 +
+  (||hm2|| + rho_H) P2 + ||wm|| + rho_w)`` bounds both ``2 (B_1 + B_2)``
+  and ``T`` from above, with ``||hm1|| = sqrt(am / 2)`` for the
+  midpoints' ``am = |m11|^2 + |m21|^2`` and ``||hm2||`` the same from
+  ``bm``.
+
+The computed check multiplies each of ``rho_H``, ``||wm|| + rho_w`` and
+``T_up`` by ``1 + 2**-16``, which exceeds ``(1 + 2**-19)`` times the at
+most ``20 u`` relative rounding of each, their factors' roundings
+included. It takes ``E = ||wm|| + rho_w + 4 u T_up`` and subtracts ``4 u
+T_up`` from ``S``. The latter covers the upward rounding of the square
+root and of ``S``'s difference, at most ``2 u s_m``, since ``s_m <=
+sqrt(am d1^2 / 2) <= T_up``. The roundings no slack covers, the last
+subtraction, the squares and the products with 4.5 and 1e-9, come to at
+most ``6 u`` relative. So ``S^2 > 4.5 E^2`` and ``S^2 > 1e-9 T_up^2``, as
+computed, give ``s > 2.1213 e`` and ``s^2 > 0.99e-9 T^2`` for the
+trial's float ``H`` and ``r``. From there the proof of the hint check
+applies unchanged: the sent codeword is the unique float minimum of
+``_score`` and every ML decision of the trial, hinted or not. The bounds
+assume that nothing underflows, as the others do; no midpoint is
+smaller than about 3e-4 in magnitude. ``S > 0`` is also required, so a
+negative ``S`` never passes through the squares.
+
+On a 2-core x86-64 VM the check, with its two bracket reads, costs
+1.1-1.25 ms per 10^4 trials (2,500-trial QPSK slices), against 2.2-2.4
+ms for ``synthesize`` (1.8-2.0 of it ``ndtri``) and 0.9-1.1 ms for
+``detect`` with the hint. It proves 98.6% of sent codewords at QPSK alpha 0.5, 30 dB
+(the hint check: 99.1%), 96.7% at 25 dB, 89.1% at alpha 0.99, 30 dB, and
+90.7% at 16QAM alpha 0.5, 24 dB (91.3%). A trial with a channel normal
+in the first or last of the 4,096 cells, whose bracket reaches into the
+tail, is seldom proven, so even at 60 dB 0.4% are left.
+
 Both detectors assume the channel matrix is known exactly and return hard
 decisions (no soft outputs). Ties are broken toward the lowest codeword
 enumeration index so results are reproducible; with continuous noise a tie
@@ -149,8 +222,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import validate_alpha
+from .channel import CHANNEL_COLUMNS, NOISE_COLUMNS, validate_alpha, validate_n0
 from .constellation import _frozen
+from .rng import normal_brackets
 
 DETECTORS = ("ml", "sic")
 
@@ -160,6 +234,8 @@ _MARGIN = 1e-12
 _BLOCK = 40_000
 # Unit roundoff of float64; the hint check's slacks are multiples of it.
 _U = 2.0**-53
+# Upward factor of the bracketed check's radii and bounds (module docs).
+_WIDEN = 1 + 2.0**-16
 
 
 class _MlPlan(NamedTuple):
@@ -213,13 +289,17 @@ def _ml_plan(c, alpha):
                    float(_min_sq_distance(x2)))
 
 
+def _gram(h11, h12, h21, h22):
+    """The Gram entries ``(g, a, b)`` of each trial's channel (module docs)."""
+    return h11.conj() * h12 + h21.conj() * h22, _metric(h11, h21), _metric(h12, h22)
+
+
 def _gram_features(r, h, plan):
     """Each trial's Gram entries ``(g, a, b)`` (module docs) and its scale ``T``."""
     r1, r2 = r
     h11, h12, h21, h22 = h
-    gab = (h11.conj() * h12 + h21.conj() * h22, _metric(h11, h21), _metric(h12, h22))
     t = abs(r1) + abs(r2) + (abs(h11) + abs(h21)) * plan.p1 + (abs(h12) + abs(h22)) * plan.p2
-    return gab, t
+    return _gram(*h), t
 
 
 def _table_features(r, h, gab, rows):
@@ -257,6 +337,41 @@ def _hint_proven(r, h, plan, k1, k2, gab, t):
     y1, y2 = plan.x1[k1], plan.x2[k2]
     e = np.sqrt(_metric(r1 - (h11 * y1 + h12 * y2), r2 - (h21 * y1 + h22 * y2))) + 16 * _U * t
     return (s2 > 4.5 * e * e) & (s2 > 1e-9 * t * t)
+
+
+def bracket_proven(u, c, alpha, n0):
+    """Mask of draw rows ``u`` whose sent codeword is proven ML's decision from brackets.
+
+    A row is proven when its sent codeword is the unique float minimum of
+    ``_score`` on the channel and received vector that ``synthesize(u, c,
+    alpha, n0)`` would produce, which is then the decision of
+    ``detect("ml", ...)`` for any hint. Only ``rng.normal_brackets`` of
+    the row's 12 normals is read, never the normals (module docs).
+    """
+    s, e, t = _bracket_bounds(u, _ml_plan(c, validate_alpha(alpha)), validate_n0(n0))
+    return (s > 0) & (s * s > 4.5 * e * e) & (s * s > 1e-9 * t * t)
+
+
+def _bracket_bounds(u, plan, n0):
+    """Each draw row's computed ``S``, ``E`` and ``T_up`` (module docs)."""
+    h, qh = _brackets(u[:, CHANNEL_COLUMNS])
+    gab = _gram(*h.T)
+    del h  # freed before the noise is read, which keeps the slice's heap peak low
+    s2 = _radius2(gab, plan)
+    qh *= math.sqrt(0.5) * _WIDEN
+    w, qw = _brackets(u[:, NOISE_COLUMNS])
+    ew = (np.sqrt(_metric(*w.T)) + qw) * (math.sqrt(n0) * _WIDEN)
+    _, a, b = gab
+    t = ((np.sqrt(a * 0.5) + qh) * plan.p1 + (np.sqrt(b * 0.5) + qh) * plan.p2 + ew) * (
+        2 * math.sqrt(2) * _WIDEN)
+    s = np.sqrt(np.maximum(s2, 0.0) * 0.5) - qh * math.sqrt(plan.d1 + plan.d2) - 4 * _U * t
+    return s, ew + 4 * _U * t, t
+
+
+def _brackets(v):
+    """Bracket midpoints of the normals ``v`` as complex entries, and each row's radius norm."""
+    mid, rad = normal_brackets(v)
+    return mid.view(np.complex128), np.sqrt(np.einsum("ij,ij->i", rad, rad))
 
 
 def _table_argmin(f, tol, C):

@@ -8,30 +8,55 @@ min_bit_errors, max_codewords): the worker count never changes the result.
 * Every point owns a Philox stream keyed on (seed, alpha, ebn0_db); trial
   ``t`` always reads doubles ``[16*t, 16*t + 16)`` of that stream, so any
   partition of the trial range sees identical data (see ``rng``).
-* Each slice of trials is one batch: ``channel.synthesize`` decodes the
-  per-trial draw layout into sent symbols and received vectors,
-  ``detectors.detect`` decides them, and the errors are read from
-  ``Constellation.hamming``. The sent codeword is ``detect``'s hint: ML
-  takes it without building a trial's metric table when it is proven the
-  unique minimum, so decisions, and every ``BerPoint``, are as without it.
+* Each slice of trials is drawn as one batch. For ML it is first checked:
+  ``detectors.bracket_proven`` reads brackets of each trial's 12 normals
+  from ``rng``'s table, without computing them, and proves most sent
+  codewords to be the ML decision of the trial that ``synthesize`` would
+  produce. A proven trial holds no bit error and is never synthesized.
+  The unproven trials go through the one decoding path: ``synthesize``
+  turns the draw rows into sent symbols and received vectors,
+  ``detectors.detect`` decides them with the sent codeword as its hint,
+  and the errors are read from ``Constellation.hamming``. SIC's decisions
+  are not ML's, so SIC skips the check and decodes every trial. Either
+  way each trial's decision, and every ``BerPoint``, is as if every trial
+  were decoded.
 * The stopping rule is evaluated on fixed blocks of 10^4 trials: the point
   stops after the first block at which the cumulative bit-error count
   reaches ``min_bit_errors`` (or when ``max_codewords`` is exhausted).
   A point runs its slices in order in the calling thread, from one Philox
   stream opened at trial 0 into one draw buffer; nothing past the stop
   index is drawn.
-* A slice is one call of a per-slice function, so its arrays are freed
-  before the next slice is drawn (a slice inlined in the block loop kept
-  the last one's arrays alive and read 0.6 MB more peak RSS on the 16QAM
-  benchmark). It *produces*: the Philox fill into the draw buffer and
+* A batch is decoded by one call of a per-batch function, so its arrays
+  are freed before the next slice is drawn (a slice inlined in the block
+  loop kept the last one's arrays alive and read 0.6 MB more peak RSS on
+  the 16QAM benchmark). For ML, a slice with more than ``SLICE / 2``
+  unproven trials is decoded whole, from the draw buffer; its proven
+  trials are decided as sent, as the check proved. Otherwise its unproven
+  rows are copied and held, and the held rows are decoded as one batch
+  before they would pass ``SLICE / 2`` rows, and at the block's end, since
+  the stopping rule reads the block's errors. So at high Eb/N0 one batch
+  of a few hundred rows is decoded per block. The cap keeps each batch's
+  arrays small: holding up to ``SLICE`` rows read about 0.5 MB more peak
+  RSS on the QPSK benchmark. The check reads the channel's brackets, then
+  the noise's, and frees the first before it reads the second. With all 12
+  read at once its arrays peaked at about 650 kB a slice, and glibc
+  trimmed and re-faulted the heap each slice: the QPSK benchmark's child
+  read 200-280 thousand minor faults and 0.26-0.40 s of system time,
+  against 6-10 thousand and about 0.01 s with the peak at 470 kB.
+* Decoding *produces*: the Philox fill into the draw buffer and
   ``synthesize``, whose long calls (the fill and ``ndtri``) release the
   GIL. Then it *decides*: ``detect`` and the Hamming sum, many short numpy
-  calls, run under one module-level lock, so one thread decides at a time.
+  calls, run under one module-level lock, so one thread decides at a
+  time; the bracketed check, also many short calls, runs under it too.
   Two threads running ``detect`` together decided only 0.53-0.85x as many
   trials per second as one thread alone (2,500-trial QPSK slices on a
-  2-vCPU host). A QPSK slice at alpha 0.5, 20 dB spends, in ms per 10^4
-  trials, 1.0-1.2 in the draw, 2.2-2.7 in ``ndtri``, 0.4-0.5 in the rest of
-  ``synthesize`` and 1.4-1.6 in ``detect``.
+  2-vCPU host). A QPSK slice at alpha 0.5, 30 dB spends, in ms per 10^4
+  trials, 0.8 in the draw and 1.1-1.25 in the check, which proves 98.5%
+  of its trials. Decoding the whole slice would take 2.2-2.4 in
+  ``synthesize`` (1.8-2.0 of it ``ndtri``) and 0.9 in ``detect``; its
+  unproven rows take 0.1 and 0.3 when decoded alone, and less once the
+  block's rows are held into one batch. At 20 dB the check proves 91%,
+  and the unproven rows take 0.25 and 0.47.
 * Workers run whole points. ``sweep_points`` submits a sweep's points to
   ``cfg.workers`` threads, highest Eb/N0 first (the long points; ties in
   alpha order), and yields them in sweep order; at one worker it runs them
@@ -61,7 +86,7 @@ from itertools import islice
 from .channel import (NoiseModel, synthesize, validate_alpha, validate_alphas, validate_count,
                       validate_ebn0_grid)
 from .constellation import build_constellation
-from .detectors import DETECTORS, detect
+from .detectors import DETECTORS, bracket_proven, detect
 from .rng import DRAWS_PER_TRIAL, point_stream_key, trial_stream, validate_seed
 
 TRIALS_PER_BLOCK = 10_000
@@ -144,8 +169,8 @@ class BerCurve:
         object.__setattr__(self, "alpha", alphas.pop())
 
 
-def _slice_errors(cfg, c, alpha, n0, u):
-    """Bit errors in the trials of draw rows ``u``; the slice's arrays go on return."""
+def _batch_errors(cfg, c, alpha, n0, u):
+    """Bit errors in the trials of draw rows ``u``; the batch's arrays go on return."""
     # produce: the signal model, whose long calls release the GIL
     # sampled noise: variance n0 per real component (see channel module docs)
     i1, i2, h, r = synthesize(u, c, alpha, n0)
@@ -153,6 +178,43 @@ def _slice_errors(cfg, c, alpha, n0, u):
     with _DECIDER:
         j1, j2 = detect(cfg.detector, r, h, alpha, c, hint=(i1, i2))
         return int((c.hamming[i1, j1] + c.hamming[i2, j2]).sum())
+
+
+def _block_errors(cfg, c, alpha, n0, gen, buf, trials):
+    """Bit errors in the next ``trials`` trials of ``gen``, drawn a slice at a time into ``buf``.
+
+    SIC decodes each slice whole. ML first finds the rows whose sent
+    codeword ``bracket_proven`` proves: that codeword is their decision, so
+    they hold no error. A slice with more than ``SLICE // 2`` unproven rows
+    is decoded whole, from the buffer. Otherwise its unproven rows are
+    copied and held, and the held rows are decoded as one batch before
+    they would pass ``SLICE // 2`` rows, and at the block's end.
+    """
+    import numpy as np
+
+    errors, held, rows = 0, [], 0
+    for lo in range(0, trials, SLICE):
+        # the buffer's length caps a slice at SLICE rows
+        u = gen.random(out=buf[:trials - lo])
+        if cfg.detector != "ml":
+            errors += _batch_errors(cfg, c, alpha, n0, u)
+            continue
+        with _DECIDER:
+            todo = ~bracket_proven(u, c, alpha, n0)
+        n = int(np.count_nonzero(todo))
+        if rows and rows + n > SLICE // 2:
+            # the pieces go before the batch is decided; only their copy stays
+            batch, held, rows = np.concatenate(held), [], 0
+            errors += _batch_errors(cfg, c, alpha, n0, batch)
+        if n > SLICE // 2:
+            errors += _batch_errors(cfg, c, alpha, n0, u)
+        elif n:
+            held.append(u[todo])
+            rows += n
+    if rows:
+        batch, held = np.concatenate(held), None
+        errors += _batch_errors(cfg, c, alpha, n0, batch)
+    return errors
 
 
 def run_ber_point(cfg, alpha, ebn0_db, *, stop=None):
@@ -173,9 +235,7 @@ def run_ber_point(cfg, alpha, ebn0_db, *, stop=None):
         if stop is not None and stop.is_set():
             raise CancelledError(f"point alpha={alpha} Eb/N0={nm.ebn0_db} dB was stopped")
         trials = min(first + TRIALS_PER_BLOCK, cfg.max_codewords)
-        for lo in range(first, trials, SLICE):
-            # the buffer's length caps a slice at SLICE rows
-            errors += _slice_errors(cfg, c, alpha, nm.n0, gen.random(out=buf[:trials - lo]))
+        errors += _block_errors(cfg, c, alpha, nm.n0, gen, buf, trials - first)
         if errors >= cfg.min_bit_errors:
             break
     return BerPoint(alpha=alpha, ebn0_db=nm.ebn0_db, kind=cfg.kind, seed=cfg.seed,

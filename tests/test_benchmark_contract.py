@@ -65,8 +65,9 @@ def test_monte_carlo_workload_is_valid_config(workload):
 
 
 _REFERENCE = json.loads((_PERFBENCH / "reference.json").read_text())
-# Reference points at most this many codewords long are re-simulated here.
-_PINNED_MAX_CODEWORDS = 100_000
+# Reference points at most this many codewords long are re-simulated here:
+# all of them, the 10^6-trial 25-30 dB QPSK points included.
+_PINNED_MAX_CODEWORDS = 1_000_000
 
 
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS.MONTE_CARLO))
@@ -83,6 +84,26 @@ def test_pinned_seed_reproduces_reference_points(workload):
         p = noma_uplink.run_ber_point(cfg, alpha, ebn0_db)
         got.append([p.alpha, p.ebn0_db, p.bit_errors, p.codewords_used, p.status])
     assert got == pinned
+
+
+@pytest.mark.parametrize("kind,detector,alpha,ebn0_db,max_codewords,min_bit_errors,expected", [
+    # 60 dB: the bracketed check proves all but about 0.4% of the trials
+    ("qpsk", "ml", 0.5, 60.0, 100_000, 200, (0, 100_000, "upper-bound-only")),
+    # 0 dB: it proves about 2%, and the point stops after one block
+    ("qpsk", "ml", 0.5, 0.0, 100_000, 200, (8_819, 10_000, "ok")),
+    # caps that end inside a slice, where a short slice and held rows meet
+    ("qpsk", "ml", 0.9, 20.0, 23_457, 10**9, (267, 23_457, "ok")),
+    ("qam16", "ml", 0.9, 24.0, 12_345, 10**9, (328, 12_345, "ok")),
+    ("qpsk", "sic", 0.9, 20.0, 23_457, 10**9, (860, 23_457, "ok")),
+])
+def test_pinned_seed_edge_points(kind, detector, alpha, ebn0_db, max_codewords, min_bit_errors,
+                                 expected):
+    # Points outside reference.json, pinned at PINNED_SEED to the values of
+    # the harness that decided every trial of every slice.
+    cfg = SimConfig(kind=kind, detector=detector, seed=_WORKLOADS.PINNED_SEED,
+                    min_bit_errors=min_bit_errors, max_codewords=max_codewords)
+    p = noma_uplink.run_ber_point(cfg, alpha, ebn0_db)
+    assert (p.bit_errors, p.codewords_used, p.status) == expected
 
 
 def test_sweep_is_eager():

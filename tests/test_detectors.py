@@ -5,7 +5,8 @@ from ``synthesize`` on rows of the per-trial draw layout, or are built
 directly as numpy arrays. In a draw row a uniform of 0.5 gives an exact 0.0
 normal, so a channel or noise column set to 0.5 is an exact zero. The M^2
 search, ``detectors._ml_search``, is the reference that ML must equal
-decision for decision.
+decision for decision. ``detectors.bracket_proven``, which reads draw rows
+instead of received vectors, is checked against the same search.
 """
 
 import itertools
@@ -159,6 +160,71 @@ def certificate_ratios(r, h, alpha, c, hint):
     return float(worst_table), float(worst_score), float(worst_gap)
 
 
+def sqrt_above(q):
+    """A rational at least ``sqrt(q)`` and within 2**-100 of it, for a Fraction ``q >= 0``."""
+    n = -(-q.numerator * 4**100 // q.denominator)  # ceil(q * 4**100)
+    return Fraction(math.isqrt(n) + 1, 2**100)
+
+
+def exact_images(h, plan, row):
+    """Exact ``H x(w)`` of trial ``row`` for every codeword (row-major), as four Fractions."""
+    def cx(z):
+        z = complex(z)
+        return Fraction(z.real), Fraction(z.imag)
+
+    def mul(p, q):
+        return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+    h11, h12, h21, h22 = (cx(v[row]) for v in h)
+    u1 = [(mul(h11, cx(x)), mul(h21, cx(x))) for x in plan.x1]
+    u2 = [(mul(h12, cx(x)), mul(h22, cx(x))) for x in plan.x2]
+    return [(p1[0] + q1[0], p1[1] + q1[1], p2[0] + q2[0], p2[1] + q2[1])
+            for (p1, p2), (q1, q2) in itertools.product(u1, u2)]
+
+
+def bracket_certificate_ratios(u, c, alpha, n0, rows):
+    """The bracketed check's bounds, checked in exact arithmetic on draw rows ``rows``.
+
+    Every row must be proven. On the float channel and received vector
+    that ``synthesize`` gives, returns the worst ratio of: the exact ``e^2``
+    to ``E^2``; ``S^2`` to the exact least ``||H (x(w) - x(w0))||^2``; a
+    rational upper bound of ``T`` to ``T_up`` (each at most 1 when the
+    bounds hold); and the least exact metric gap to ``0.0571 S^2`` (at
+    least 1). Asserts that the sent codeword is the unique minimum of the
+    exact metrics, with a gap above ``26 u T^2``, and of the float
+    ``_score`` row.
+    """
+    plan = detectors._ml_plan(c, alpha)
+    s, e, t = detectors._bracket_bounds(u[rows], plan, n0)
+    assert detectors.bracket_proven(u[rows], c, alpha, n0).all()
+    i1, i2, h, r = synthesize(u[rows], c, alpha, n0)
+    score = detectors._score(r, h, np.repeat(plan.x1, c.M), np.tile(plan.x2, c.M))
+    w0 = i1 * c.M + i2
+    p1 = sqrt_above(max(Fraction(z.real)**2 + Fraction(z.imag)**2 for z in plan.x1))
+    p2 = sqrt_above(max(Fraction(z.real)**2 + Fraction(z.imag)**2 for z in plan.x2))
+    worst = dict(residual=Fraction(0), radius=Fraction(0), scale=Fraction(0), gap=math.inf)
+    for k in range(len(rows)):
+        images = exact_images(h, plan, k)
+        r1, r2 = (complex(v[k]) for v in r)
+        got = (Fraction(r1.real), Fraction(r1.imag), Fraction(r2.real), Fraction(r2.imag))
+        metrics = [sum((a - b)**2 for a, b in zip(got, im)) for im in images]
+        sent = images[w0[k]]
+        dist2 = min(sum((a - b)**2 for a, b in zip(im, sent))
+                    for w, im in enumerate(images) if w != w0[k])
+        mod = [sqrt_above(Fraction(complex(v[k]).real)**2 + Fraction(complex(v[k]).imag)**2)
+               for v in (*r, *h)]
+        T = mod[0] + mod[1] + (mod[2] + mod[4]) * p1 + (mod[3] + mod[5]) * p2
+        S2 = Fraction(float(s[k]))**2
+        worst["residual"] = max(worst["residual"], metrics[w0[k]] / Fraction(float(e[k]))**2)
+        worst["radius"] = max(worst["radius"], S2 / dist2)
+        worst["scale"] = max(worst["scale"], T / Fraction(float(t[k])))
+        gap = min(m for w, m in enumerate(metrics) if w != w0[k]) - metrics[w0[k]]
+        assert gap > 26 * Fraction(detectors._U) * T * T
+        worst["gap"] = min(worst["gap"], gap / (Fraction(0.0571) * S2))
+        assert (np.delete(score[k], w0[k]) > score[k, w0[k]]).all()
+    return {name: float(v) for name, v in worst.items()}
+
+
 def channel(n, h11, h12, h21, h22):
     """The same 2x2 channel for ``n`` trials, as ``detect`` takes it."""
     return tuple(np.full(n, v, dtype=complex) for v in (h11, h12, h21, h22))
@@ -296,6 +362,68 @@ def test_hint_check_proves_most_sent_codewords_at_unequal_powers():
     assert mask.mean() >= 0.8
     j1, j2 = detect("ml", r, h, 0.9, c)
     assert np.array_equal(j1[mask], i1[mask]) and np.array_equal(j2[mask], i2[mask])
+
+
+@pytest.mark.parametrize("kind,n_trials", [("qpsk", 20_000), ("qam16", 8_000)])
+def test_bracket_check_proves_only_ml_decisions(kind, n_trials):
+    # 1,008,000 trials: 720,000 QPSK and 288,000 16QAM, at four alphas and
+    # 0 to 40 dB. Every row that the bracketed check proves must be decided
+    # as sent: by the M^2 search itself for QPSK, and for 16QAM by detect
+    # without a hint, which equals that search (see
+    # test_ml_matches_full_search_over_alphas_and_snrs) at 1/40 of its cost.
+    c = build_constellation(kind)
+    points = list(itertools.product((0.5, 0.7, 0.9, 0.99), range(0, 41, 5)))
+    proven_share = {}
+    for key, (alpha, ebn0_db) in enumerate(points):
+        n0 = NoiseModel.from_ebn0_db(ebn0_db).n0
+        u = trial_stream(1_000 + key).random((n_trials, DRAWS_PER_TRIAL))
+        mask = detectors.bracket_proven(u, c, alpha, n0)
+        proven_share[alpha, ebn0_db] = mask.mean()
+        i1, i2, h, r = synthesize(u[mask], c, alpha, n0)
+        if kind == "qpsk":
+            plan = detectors._ml_plan(c, alpha)
+            j1, j2 = detectors._ml_search(r, h, plan.x1, plan.x2)
+        else:
+            j1, j2 = detect("ml", r, h, alpha, c)
+        assert np.array_equal(j1, i1) and np.array_equal(j2, i2)
+    # the check is not vacuous: it proves most trials at high Eb/N0 and few at 0 dB
+    assert min(proven_share[a, 40] for a in (0.5, 0.7, 0.9, 0.99)) > 0.9
+    assert max(proven_share[a, 0] for a in (0.5, 0.7, 0.9, 0.99)) < 0.1
+
+
+@pytest.mark.parametrize("kind,alpha,ebn0_db,floor", [("qpsk", 0.5, 30.0, 0.95),
+                                                      ("qam16", 0.5, 24.0, 0.88)])
+def test_bracket_check_proves_nearly_as_much_as_the_hint_check(kind, alpha, ebn0_db, floor):
+    # On 20,000 trials the bracketed check proved 98.6% (QPSK, 30 dB) and
+    # 90.7% (16QAM, 24 dB), against 99.1% and 91.3% for the hint check on
+    # the synthesized trials.
+    c = build_constellation(kind)
+    n0 = NoiseModel.from_ebn0_db(ebn0_db).n0
+    u = trial_stream(92).random((20_000, DRAWS_PER_TRIAL))
+    share = detectors.bracket_proven(u, c, alpha, n0).mean()
+    i1, i2, h, r = synthesize(u, c, alpha, n0)
+    assert share >= floor and share >= proven(r, h, alpha, c, (i1, i2)).mean() - 0.01
+
+
+@pytest.mark.parametrize("kind,alpha,ebn0_db", [
+    *itertools.product(["qpsk"], [0.5, 0.9, 0.99], [10.0, 20.0, 30.0, 40.0, 300.0]),
+    *itertools.product(["qam16"], [0.5, 0.9], [20.0, 30.0, 300.0]),
+])
+def test_bracket_certificates_hold_in_exact_arithmetic(kind, alpha, ebn0_db):
+    # The six proven rows nearest the 4.5 threshold among 5,000 trials, in
+    # exact arithmetic on the trials synthesize gives. At 300 dB the noise
+    # and its radius fall below the rounding of r, so E relies on its
+    # 4 u T_up term.
+    c = build_constellation(kind)
+    n0 = NoiseModel.from_ebn0_db(ebn0_db).n0
+    u = trial_stream(int(ebn0_db) * 10 + int(alpha * 100)).random((5_000, DRAWS_PER_TRIAL))
+    s, e, t = detectors._bracket_bounds(u, detectors._ml_plan(c, alpha), n0)
+    mask = detectors.bracket_proven(u, c, alpha, n0)
+    rows = np.flatnonzero(mask)[np.argsort((s * s / (4.5 * e * e))[mask])[:6]]
+    assert len(rows) == 6
+    worst = bracket_certificate_ratios(u, c, alpha, n0, rows)
+    assert worst["residual"] <= 1 and worst["radius"] <= 1 and worst["scale"] <= 1
+    assert worst["gap"] >= 1
 
 
 @pytest.mark.parametrize("kind,n_cases", [("qpsk", 240), ("qam16", 24)])

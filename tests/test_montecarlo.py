@@ -10,7 +10,7 @@ from concurrent.futures import CancelledError
 import numpy as np
 import pytest
 
-from noma_uplink import montecarlo
+from noma_uplink import detectors, montecarlo
 from noma_uplink import (
     NoiseModel,
     SimConfig,
@@ -274,6 +274,92 @@ class TestStoppingPolicy:
         assert p.ber == p.bit_errors / p.bits_simulated
         expected_ci = 1.96 * math.sqrt(p.ber * (1 - p.ber) / p.bits_simulated)
         assert p.ci95_halfwidth == pytest.approx(expected_ci, rel=1e-12)
+
+
+def unchecked_point(cfg, alpha, ebn0_db):
+    """``(bit_errors, codewords_used)`` of a point whose every slice is decided whole.
+
+    The stopping rule of the module docs, with each slice drawn, synthesized
+    and decided by ``detect`` without a hint and without the bracketed check.
+    """
+    c = build_constellation(cfg.kind)
+    n0 = NoiseModel.from_ebn0_db(ebn0_db).n0
+    gen = trial_stream(point_stream_key(cfg.seed, alpha, ebn0_db))
+    errors = 0
+    for first in range(0, cfg.max_codewords, TRIALS_PER_BLOCK):
+        trials = min(first + TRIALS_PER_BLOCK, cfg.max_codewords)
+        for lo in range(first, trials, montecarlo.SLICE):
+            u = gen.random((min(montecarlo.SLICE, trials - lo), DRAWS_PER_TRIAL))
+            i1, i2, h, r = synthesize(u, c, alpha, n0)
+            j1, j2 = detect(cfg.detector, r, h, alpha, c)
+            errors += int((c.hamming[i1, j1] + c.hamming[i2, j2]).sum())
+        if errors >= cfg.min_bit_errors:
+            break
+    return errors, trials
+
+
+class TestBracketedCheck:
+    @pytest.mark.parametrize("kind,alpha,ebn0_db", [
+        # slices mostly unproven, so decided whole (5 dB, alpha 0.99 at 20 dB,
+        # 16QAM at 16 dB); whole slices and held rows in one block (11 dB);
+        # held rows decided every one or two slices (15 dB, alpha 0.99 at
+        # 25 dB); held rows decided once a block (30 dB, 16QAM at 24 dB)
+        ("qpsk", 0.5, 5.0), ("qpsk", 0.99, 20.0), ("qam16", 0.9, 16.0), ("qpsk", 0.5, 11.0),
+        ("qpsk", 0.5, 15.0), ("qpsk", 0.99, 25.0), ("qpsk", 0.5, 30.0), ("qam16", 0.5, 24.0),
+    ])
+    def test_point_equals_the_unchecked_slice_loop(self, kind, alpha, ebn0_db):
+        # 41,234 trials: four full blocks, then a block of one short slice
+        cfg = small_cfg(kind=kind, seed=424242, max_codewords=41_234, min_bit_errors=10**9)
+        p = run_ber_point(cfg, alpha, ebn0_db)
+        assert (p.bit_errors, p.codewords_used) == unchecked_point(cfg, alpha, ebn0_db)
+
+    def test_stopping_rule_equals_the_unchecked_slice_loop(self):
+        cfg = small_cfg(seed=424242, min_bit_errors=150)
+        for ebn0_db in (10.0, 16.0, 20.0):
+            p = run_ber_point(cfg, 0.9, ebn0_db)
+            assert (p.bit_errors, p.codewords_used) == unchecked_point(cfg, 0.9, ebn0_db)
+
+    @pytest.mark.parametrize("ebn0_db", [5.0, 11.0, 15.0, 30.0])
+    def test_batches_are_at_most_a_slice_and_hold_only_unproven_rows(self, monkeypatch, ebn0_db):
+        # ML decides whole slices, or held unproven rows in batches of at most
+        # SLICE / 2; every row decided past the check is one it left unproven.
+        batches = []
+        batch_errors = montecarlo._batch_errors
+
+        def spy(cfg, c, alpha, n0, u):
+            batches.append(u.copy())
+            return batch_errors(cfg, c, alpha, n0, u)
+
+        monkeypatch.setattr(montecarlo, "_batch_errors", spy)
+        cfg = small_cfg(max_codewords=2 * TRIALS_PER_BLOCK, min_bit_errors=10**9)
+        run_ber_point(cfg, 0.5, ebn0_db)
+        c, n0 = build_constellation("qpsk"), NoiseModel.from_ebn0_db(ebn0_db).n0
+        u = trial_stream(point_stream_key(cfg.seed, 0.5, ebn0_db)).random(
+            (cfg.max_codewords, DRAWS_PER_TRIAL))
+        unproven = {row.tobytes() for row in u[~detectors.bracket_proven(u, c, 0.5, n0)]}
+        for batch in batches:
+            assert len(batch) == montecarlo.SLICE or 0 < len(batch) <= montecarlo.SLICE // 2
+            if len(batch) < montecarlo.SLICE:
+                assert {row.tobytes() for row in batch} <= unproven
+        decided = {row.tobytes() for batch in batches for row in batch}
+        assert unproven <= decided
+        if ebn0_db == 30.0:
+            assert len(batches) == 2  # one batch per block
+
+    def test_sic_decides_every_slice_without_the_check(self, monkeypatch):
+        checked, sizes = [], []
+        check, batch_errors = montecarlo.bracket_proven, montecarlo._batch_errors
+        monkeypatch.setattr(montecarlo, "bracket_proven",
+                            lambda *a: checked.append(len(a[0])) or check(*a))
+        monkeypatch.setattr(montecarlo, "_batch_errors",
+                            lambda cfg, c, alpha, n0, u: sizes.append(len(u))
+                            or batch_errors(cfg, c, alpha, n0, u))
+        cfg = small_cfg(detector="sic", max_codewords=12_345, min_bit_errors=10**9)
+        p = run_ber_point(cfg, 0.9, 30.0)
+        assert checked == [] and sizes == [2_500] * 4 + [2_345]
+        assert (p.bit_errors, p.codewords_used) == unchecked_point(cfg, 0.9, 30.0)
+        run_ber_point(dataclasses.replace(cfg, detector="ml"), 0.9, 30.0)
+        assert checked == [2_500] * 4 + [2_345]
 
 
 class TestSweep:
