@@ -2,10 +2,8 @@
 metrics, and a 2M-metric successive-interference-cancellation baseline.
 
 ``detect`` is the one implementation of both: it decides a whole batch of
-received vectors at once, with the sent codewords as an optional hint that
-ML checks before building any table. The Monte Carlo harness calls it on
-the trials that ``bracket_proven`` (below) leaves unproven, and SIC on
-every trial.
+received vectors at once. The Monte Carlo harness calls ML on the trials
+that ``bracket_proven`` (below) leaves unproven, and SIC on every trial.
 
 ML uses the sphere decoder's expansion (Viterbo & Boutros, IEEE Trans. IT
 1999). With ``x1 = s1 p[i1]``, ``x2 = s2 p[i2]`` and the user columns
@@ -15,11 +13,10 @@ minus ``||r||^2`` is ``q(w) = f . C(w)``: eight real features of the trial,
 parts) and ``|h1|^2``, ``|h2|^2``, against the coefficients ``-2 x1``,
 ``-2 x2``, ``2 conj(x1) x2`` (as ``2 Re``, ``-2 Im``), ``|x1|^2`` and
 ``|x2|^2``. So a block of trials costs one real (rows x 8) @ (8 x M^2)
-product, and only the trials that the hint check below leaves unproven
-get ``y1``, ``y2`` and a packed row. Rows are taken ``_BLOCK // M^2`` at
-a time, so each table stays in cache: on a 2-core x86-64 VM, 16QAM took
-4.6-6.4 ms per 10^4 trials in 40,000-entry blocks, 8.3-9.9 in 5,000-entry
-blocks and 16-30 in one table per 2,500-trial slice. What depends only
+product. Rows are taken ``_BLOCK // M^2`` at a time, so each table stays
+in cache: on a 2-core x86-64 VM, 16QAM took 4.6-6.4 ms per 10^4 trials in
+40,000-entry blocks, 8.3-9.9 in 5,000-entry blocks and 16-30 in one table
+per 2,500-trial slice. What depends only
 on the constellation and alpha (the scaled symbols, ``C``, ``P1``, ``P2``,
 ``d1^2`` and ``d2^2`` below) is built once per (constellation, alpha) by
 ``_ml_plan``, not per call.
@@ -44,21 +41,27 @@ absolute values of the eight products, and ``u = 2^-53``:
   ``_ml_search`` returns. ``_MARGIN = 1e-12``, about 9000 u, is 128 times
   that, which also covers the rounding of the gap and of ``T``.
 
-The bounds assume that nothing underflows, which can only fail for ``T``
-below about 1e-150. A trial whose gap is at or under the margin (an exact tie, as a
-zero user-2 column gives) or is not finite (any NaN) is decided by the M^2
-search; with continuous noise that is rare. The decisions therefore equal
-the M^2 search's, ties included, whatever the BLAS thread count.
+The bounds are relative to ``T^2`` and assume that nothing underflows. An
+operation that underflows errs by up to ``2**-1075`` in absolute terms,
+which no relative bound covers. So a trial whose computed ``T`` is at or
+under 1e-150 is decided by the M^2 search: there ``_MARGIN * T^2`` may
+itself underflow, and scaling 10 dB trials by 1e-161 made the table's gap
+certify a wrong argmin on 3-13% of them. Above the floor the margin
+exceeds 1e-312, while the at most a few hundred underflowing operations
+behind two table entries and two ``_score`` metrics add under 1e-320. A
+trial whose gap is at or under the margin (an exact tie, as a zero user-2
+column gives) or is not finite (any NaN) also goes to the search; with
+continuous noise each case is rare. The decisions therefore equal the
+M^2 search's, ties included, whatever the BLAS thread count.
 
-A trial may carry a hint, a candidate codeword ``w0``; the Monte Carlo
-harness passes the sent one. The hint is the trial's decision, with no
-table built, when it is proven the unique float minimum of ``_score``.
-This is the sphere decoder's radius argument. In exact arithmetic on the
-float inputs, let:
+The Monte Carlo harness proves most sent codewords to be the ML decision
+before any normal is computed, with the sphere decoder's radius argument.
+For a trial with channel ``H``, received vector ``r`` and sent codeword
+``w0``, in exact arithmetic on the float inputs, let:
 
 * ``e = ||r - H x(w0)||``;
 * ``a = |h1|^2``, ``b = |h2|^2`` and ``g = h1^H h2``, the entries of ``G =
-  H^H H``, read from the features the table uses;
+  H^H H``;
 * ``lmax = (a + b + sqrt((a - b)^2 + 4 |g|^2)) / 2`` and ``lmin = (a b -
   |g|^2) / lmax``, the eigenvalues of ``G``;
 * ``d1^2`` and ``d2^2`` the least ``|x[k] - x[l]|^2`` over ``k != l`` of
@@ -81,75 +84,53 @@ H x(w)||^2 - e^2 >= s (s - 2e)``. The single bound ``lmin min(d1^2,
 d2^2)`` never exceeds this ``s^2``, since ``a, b >= lmin``, and falls far
 below it when one column is weak and the powers are unequal.
 
-The check works from computed values, each made a one-sided bound by a
-slack derived term by term:
+If ``s > 2.1213 e`` and ``s^2 > 0.99e-9 T^2``, every other codeword's
+metric exceeds the sent one's by at least ``s (s - 2e) >= (1 - 2 / 2.1213)
+s^2 >= 0.0571 s^2 >= 5.6e-11 T^2``. Rounding can move two ``_score``
+entries by at most ``2 * 13 u T^2 = 26 u T^2``, about ``2.9e-15 T^2``. So
+the sent codeword's float ``_score`` is strictly the least of the M^2, and
+``_ml_search`` returns it whatever its tie rule, as does ``detect("ml",
+...)``.
 
-* ``E = e_hat + 16 u t`` bounds ``e`` from above. ``e_hat`` is the float
-  norm of the float residual, formed as ``_score`` forms it (``r1 - (h11 x1
-  + h12 x2)``), and ``t`` is the computed ``T``. Each real part of the
-  residual is an input minus four products, within ``gamma_4`` of exact
-  relative to its absolute sum. That sum is at most ``T_i = |r_i| + |h_i1|
-  P1 + |h_i2| P2``, so the residual vector is within ``sqrt(2) gamma_4 T <=
-  5.7 u T`` of exact. Summing the four squares and taking the root move the
-  norm by at most ``3.1 u`` relative, and ``e_hat <= 2 T``, so ``e <= e_hat
-  + 12 u T``. ``t`` sums non-negative terms, each within ``9 u`` of exact,
-  so ``16 u t >= 15.9 u T``.
+``_radius2`` computes ``s^2`` from computed Gram entries. Each of its terms
+is made a one-sided bound by a slack derived term by term, so the computed
+``s^2`` is at most the exact one:
+
 * ``a b - |g|^2 - 32 u a b`` bounds ``a b - |g|^2`` from below. ``a`` and
   ``b`` are within ``gamma_4`` of exact, and each part of ``g`` within
   ``gamma_3 sqrt(ab)``. So the computed ``a b - |g|^2`` is within ``(9 +
   8.5 + 2 + 1) u ab < 21 u ab`` of exact: ``gamma_9`` for the product,
   ``2 sqrt(2) gamma_3 ab`` for the change of ``|g|^2``, ``gamma_2`` for
   forming it and ``u`` for the difference. Subtracting the slack rounds by
-  at most ``u ab`` more.
+  at most ``u ab`` more, so the computed value is at most ``a b - |g|^2 -
+  10 u ab``.
 * ``lmax (1 + 32 u)`` bounds ``lmax`` from above. By Weyl's inequality the
   rounded ``G`` moves ``lmax`` by at most ``gamma_4 max(a, b) + sqrt(2)
   gamma_3 sqrt(ab) <= 8.3 u lmax``. Evaluating the formula adds at most ``5
   u`` relative, since its terms are non-negative and ``a - b`` is only
-  squared.
+  squared. So the computed value is at least ``lmax (1 + 17 u)``.
 * ``a d1^2 (1 - 32 u)`` and ``b d2^2 (1 - 32 u)`` bound ``a d1^2`` and ``b
   d2^2`` from below. ``a`` and ``b`` are within ``gamma_4`` of exact, and
   so is each ``d^2``: the difference, the two squares and their sum round
   once each. Forming ``d^2 (1 - 32 u)`` and its product with ``a`` or
   ``b`` rounds twice more, so the computed term is at most ``(1 + 10.1
   u)(1 - 32 u) < 1`` times its exact value.
-* In ``lmin (d1^2 + d2^2)`` the sum of the two ``d^2`` is within
-  ``gamma_5`` of exact, and the quotient and the product round once each,
-  so the computed term is at most ``1 + 7 u`` times its exact value. With
-  the sum ``E`` and the products in ``4.5 E^2``, the roundings that no
-  slack covers come to at most ``11 u`` relative, which lowers the
-  effective constant 4.5 by less than ``1e-14``.
+* The computed ``lmin`` is at most ``(1 - 10 u)(1 + u) / (1 + 17 u) < 1 -
+  25 u`` times the exact one, since ``a b >= a b - |g|^2``, or not
+  positive. The sum of the two ``d^2`` is within ``gamma_5`` of exact, and
+  the product rounds once, so ``lmin (d1^2 + d2^2)`` as computed stays
+  below its exact value too.
 
-A hint is proven when ``s_hat^2 > 4.5 E^2`` and ``s_hat^2 > 1e-9
-t^2``. Then in exact terms ``s > 2.1213 e`` and ``s^2 > 0.99e-9 T^2``. So
-every other codeword's metric exceeds the hint's by at least ``s (s - 2e)
->= (1 - 2 / 2.1213) s^2 >= 0.0571 s^2 >= 5.6e-11 T^2``. Rounding can move
-two ``_score`` entries by at most ``2 * 13 u T^2 = 26 u T^2``, about
-``2.9e-15 T^2``. So the hint's float ``_score`` is strictly the least of
-the M^2, and ``_ml_search`` returns it whatever its tie rule. The check's
-own bounds assume no underflow, as the table's do.
-
-A hint that is not the ML decision is never proven, so it only costs
-time. A NaN or infinite input makes a comparison false. A zero user-2
-column gives ``s = 0``, and an exact tie a zero gap, so ``s <= 2e``. Such
-trials take the table path above. The check, with the Gram entries and
-``T`` it reads, costs 0.7-0.9 ms per 10^4 trials (2,500-trial slices on a
-2-core x86-64 VM). At QPSK 10 dB or less, or at alpha 0.99 and 20 dB or
-less, it proves under 45% of sent codewords. Where it proves under 20% it
-is a net loss of 0.2-0.7 ms per 10^4 trials, but such points stop after
-one 10^4-trial block.
-
-The Monte Carlo harness proves most sent codewords before any normal is
-computed. ``bracket_proven`` reads draw rows, not received vectors: for
-each of a row's 12 normals, ``rng.normal_brackets`` gives a midpoint
-``m`` and a radius ``q`` with ``|z - m| <= q`` for the float normal ``z``
-that ``synthesize`` would compute, and ``q >= 2**-32 |m|`` (see ``rng``).
+``bracket_proven`` reads draw rows, not received vectors: for each of a
+row's 12 normals, ``rng.normal_brackets`` gives a midpoint ``m`` and a
+radius ``q`` with ``|z - m| <= q`` for the float normal ``z`` that
+``synthesize`` would compute, and ``q >= 2**-32 |m|`` (see ``rng``).
 ``synthesize`` forms each channel part as ``fl(z / fl(sqrt(2)))`` and
 each noise part as ``fl(z fl(sqrt(n0)))``, and the received vector as
 ``r = H x(w0) + w + dr``, where ``x(w0)`` is the sent codeword, with the
 plan's ``x1`` and ``x2`` (the same float products), and ``dr`` is the
-rounding of ``r``. A row is proven when its sent codeword is the unique
-float minimum of ``_score`` on that ``H`` and ``r``, by the same argument
-as the hint check, with a lower bound ``S`` on ``s`` and upper bounds
+rounding of ``r``. A row is proven when the radius argument holds for
+that ``H`` and ``r``, with a lower bound ``S`` on ``s`` and upper bounds
 ``E`` on ``e`` and ``T_up`` on ``T``, all read from the brackets. In
 exact arithmetic on the float brackets, with ``Hm`` the channel whose
 parts are the midpoints over ``sqrt(2)`` and ``wm`` the noise midpoints
@@ -194,19 +175,28 @@ sqrt(am d1^2 / 2) <= T_up``. The roundings no slack covers, the last
 subtraction, the squares and the products with 4.5 and 1e-9, come to at
 most ``6 u`` relative. So ``S^2 > 4.5 E^2`` and ``S^2 > 1e-9 T_up^2``, as
 computed, give ``s > 2.1213 e`` and ``s^2 > 0.99e-9 T^2`` for the
-trial's float ``H`` and ``r``. From there the proof of the hint check
-applies unchanged: the sent codeword is the unique float minimum of
-``_score`` and every ML decision of the trial, hinted or not. The bounds
-assume that nothing underflows, as the others do; no midpoint is
-smaller than about 3e-4 in magnitude. ``S > 0`` is also required, so a
-negative ``S`` never passes through the squares.
+trial's float ``H`` and ``r``, and by the gap step above the sent
+codeword is the unique float minimum of ``_score`` and the decision of
+``detect("ml", ...)``. ``S > 0`` is also required, so a negative ``S``
+never passes through the squares.
+
+The check needs no floor on ``T``, unlike the table. No midpoint is
+smaller than about 3e-4 in magnitude (the cells next to 1/2), and
+``sqrt(n0)`` is at least about 2e-162 for any positive float ``n0``, so
+none of the check's own operations underflows, and ``T_up`` is at least
+about 8e-4. A proven row then has ``S^2 > 1e-9 T_up^2 > 6e-16``, so its
+gap ``0.0571 s^2`` is far above the ``2**-1075`` by which a square that
+underflows in the trial's float ``_score`` (of a tiny residual part) can
+err.
 
 On a 2-core x86-64 VM the check, with its two bracket reads, costs
-1.1-1.25 ms per 10^4 trials (2,500-trial QPSK slices), against 2.2-2.4
-ms for ``synthesize`` (1.8-2.0 of it ``ndtri``) and 0.9-1.1 ms for
-``detect`` with the hint. It proves 98.6% of sent codewords at QPSK alpha 0.5, 30 dB
-(the hint check: 99.1%), 96.7% at 25 dB, 89.1% at alpha 0.99, 30 dB, and
-90.7% at 16QAM alpha 0.5, 24 dB (91.3%). A trial with a channel normal
+1.4-1.5 ms per 10^4 trials (2,500-trial QPSK slices), against 2.4-2.5 ms
+for ``synthesize`` (1.8-1.9 of it ``ndtri``) and 2.2 ms for ``detect`` on
+the whole slice. The harness decides a block's unproven trials as one
+batch: at QPSK alpha 0.5 they took 0.08-0.09 ms of ``detect`` per 10^4
+drawn trials at 30 dB and 0.24 at 20 dB. The check proves 98.7% of sent
+codewords at QPSK alpha 0.5, 30 dB, 96.7% at 25 dB, 89.2% at alpha 0.99,
+30 dB, and 90.7% at 16QAM alpha 0.5, 24 dB. A trial with a channel normal
 in the first or last of the 4,096 cells, whose bracket reaches into the
 tail, is seldom proven, so even at 60 dB 0.4% are left.
 
@@ -232,7 +222,7 @@ DETECTORS = ("ml", "sic")
 _MARGIN = 1e-12
 # Entries of the Gram-form table computed at once.
 _BLOCK = 40_000
-# Unit roundoff of float64; the hint check's slacks are multiples of it.
+# Unit roundoff of float64; the certificates' slacks are multiples of it.
 _U = 2.0**-53
 # Upward factor of the bracketed check's radii and bounds (module docs).
 _WIDEN = 1 + 2.0**-16
@@ -302,15 +292,15 @@ def _gram_features(r, h, plan):
     return _gram(*h), t
 
 
-def _table_features(r, h, gab, rows):
-    """The 8 real features of trials ``rows``, in the table's row order."""
+def _table_features(r, h, gab):
+    """The 8 real features of each trial, in the table's row order."""
     r1, r2 = r
     h11, h12, h21, h22 = h
-    g, a, b = (v[rows] for v in gab)
+    g, a, b = gab
     # f's real view: h1^H r, h2^H r, h1^H h2 (re, im), |h1|^2, |h2|^2
     f = np.empty((len(g), 4), dtype=complex)
-    f[:, 0] = h11[rows].conj() * r1[rows] + h21[rows].conj() * r2[rows]
-    f[:, 1] = h12[rows].conj() * r1[rows] + h22[rows].conj() * r2[rows]
+    f[:, 0] = h11.conj() * r1 + h21.conj() * r2
+    f[:, 1] = h12.conj() * r1 + h22.conj() * r2
     f[:, 2] = g
     f = f.view(np.float64)
     f[:, 6] = a
@@ -329,24 +319,14 @@ def _radius2(gab, plan):
     return np.minimum(one_user, lmin * (plan.d1 + plan.d2))
 
 
-def _hint_proven(r, h, plan, k1, k2, gab, t):
-    """Mask of trials whose hint ``(k1, k2)`` is proven the unique float minimum of ``_score``."""
-    r1, r2 = r
-    h11, h12, h21, h22 = h
-    s2 = _radius2(gab, plan)
-    y1, y2 = plan.x1[k1], plan.x2[k2]
-    e = np.sqrt(_metric(r1 - (h11 * y1 + h12 * y2), r2 - (h21 * y1 + h22 * y2))) + 16 * _U * t
-    return (s2 > 4.5 * e * e) & (s2 > 1e-9 * t * t)
-
-
 def bracket_proven(u, c, alpha, n0):
     """Mask of draw rows ``u`` whose sent codeword is proven ML's decision from brackets.
 
     A row is proven when its sent codeword is the unique float minimum of
     ``_score`` on the channel and received vector that ``synthesize(u, c,
     alpha, n0)`` would produce, which is then the decision of
-    ``detect("ml", ...)`` for any hint. Only ``rng.normal_brackets`` of
-    the row's 12 normals is read, never the normals (module docs).
+    ``detect("ml", ...)``. Only ``rng.normal_brackets`` of the row's 12
+    normals is read, never the normals (module docs).
     """
     s, e, t = _bracket_bounds(u, _ml_plan(c, validate_alpha(alpha)), validate_n0(n0))
     return (s > 0) & (s * s > 4.5 * e * e) & (s * s > 1e-9 * t * t)
@@ -384,37 +364,28 @@ def _table_argmin(f, tol, C):
     return k, q.min(axis=1) - best > tol
 
 
-def _ml_gram(r, h, plan, hint):
-    """First argmin of the Gram-form table, with the M^2 search where the gap is unproven.
-
-    A trial whose hint is proven by ``_hint_proven`` takes it and skips the table.
-    """
+def _ml_gram(r, h, plan):
+    """First argmin of the Gram-form table, with the M^2 search where the gap is unproven."""
     M = len(plan.x1)
     gab, t = _gram_features(r, h, plan)
-    if hint is None:
-        j1, j2 = np.empty(len(t), dtype=np.intp), np.empty(len(t), dtype=np.intp)
-        todo = np.arange(len(t))
-        f = _table_features(r, h, gab, slice(None))  # views, not copies, of every row
-    else:
-        j1, j2 = (k.astype(np.intp) for k in hint)
-        todo = np.flatnonzero(~_hint_proven(r, h, plan, *hint, gab, t))
-        f, t = _table_features(r, h, gab, todo), t[todo]
-    tol = _MARGIN * t * t
-    k = np.empty(len(todo), dtype=np.intp)
-    certified = np.empty(len(todo), dtype=bool)
+    f = _table_features(r, h, gab)
+    # at T <= 1e-150 the bounds may underflow, so no gap certifies (module docs)
+    tol = np.where(t > 1e-150, _MARGIN * t * t, np.inf)
+    k = np.empty(len(t), dtype=np.intp)
+    certified = np.empty(len(t), dtype=bool)
     rows = _BLOCK // (M * M)
-    for lo in range(0, len(todo), rows):
+    for lo in range(0, len(t), rows):
         block = slice(lo, lo + rows)
         k[block], certified[block] = _table_argmin(f[block], tol[block], plan.C)
-    j1[todo], j2[todo] = np.divmod(k, M)
-    sub = todo[~certified]
-    if len(sub):
+    j1, j2 = np.divmod(k, M)
+    sub = ~certified
+    if sub.any():
         j1[sub], j2[sub] = _ml_search(tuple(v[sub] for v in r), tuple(v[sub] for v in h),
                                       plan.x1, plan.x2)
     return j1, j2
 
 
-def detect(detector, r, h, alpha, c, hint=None):
+def detect(detector, r, h, alpha, c):
     """Decided symbol indices ``(j1, j2)`` for a batch of received vectors.
 
     ``r = (r1, r2)`` and ``h = (h11, h12, h21, h22)`` hold one value per
@@ -430,23 +401,10 @@ def detect(detector, r, h, alpha, c, hint=None):
       Euclidean distance, treating the user-2 signal as extra noise; stage 2
       subtracts the stage-1 decision and slices user 2. 2M metrics. Meant
       for alpha > 1/2; at alpha = 1/2 the detection order is arbitrary.
-
-    ``hint = (k1, k2)``, optional, holds a candidate codeword per trial as
-    two integer arrays of symbol indices. It affects speed only, and only
-    for ML: a trial whose candidate is proven the unique minimum (module
-    docs) is decided without its table, and every other trial as without a
-    hint, so the result is the exact ML decision whatever the hint. SIC
-    ignores it.
     """
     alpha = validate_alpha(alpha)
     if detector == "ml":
-        if hint is not None:
-            hint = tuple(np.asarray(k) for k in hint)
-            if len(hint) != 2 or any(k.shape != r[0].shape or k.dtype.kind not in "iu"
-                                     or (k.size and (k.min() < 0 or k.max() >= c.M))
-                                     for k in hint):
-                raise ValueError(f"a hint is two arrays of indices in [0, {c.M}), one per trial")
-        return _ml_gram(r, h, _ml_plan(c, alpha), hint)
+        return _ml_gram(r, h, _ml_plan(c, alpha))
     if detector == "sic":
         s1 = math.sqrt(alpha)
         s2 = math.sqrt(1.0 - alpha)

@@ -15,8 +15,8 @@ min_bit_errors, max_codewords): the worker count never changes the result.
   produce. A proven trial holds no bit error and is never synthesized.
   The unproven trials go through the one decoding path: ``synthesize``
   turns the draw rows into sent symbols and received vectors,
-  ``detectors.detect`` decides them with the sent codeword as its hint,
-  and the errors are read from ``Constellation.hamming``. SIC's decisions
+  ``detectors.detect`` decides them, and the errors are read from
+  ``Constellation.hamming``. SIC's decisions
   are not ML's, so SIC skips the check and decodes every trial. Either
   way each trial's decision, and every ``BerPoint``, is as if every trial
   were decoded.
@@ -51,12 +51,12 @@ min_bit_errors, max_codewords): the worker count never changes the result.
   Two threads running ``detect`` together decided only 0.53-0.85x as many
   trials per second as one thread alone (2,500-trial QPSK slices on a
   2-vCPU host). A QPSK slice at alpha 0.5, 30 dB spends, in ms per 10^4
-  trials, 0.8 in the draw and 1.1-1.25 in the check, which proves 98.5%
-  of its trials. Decoding the whole slice would take 2.2-2.4 in
-  ``synthesize`` (1.8-2.0 of it ``ndtri``) and 0.9 in ``detect``; its
-  unproven rows take 0.1 and 0.3 when decoded alone, and less once the
-  block's rows are held into one batch. At 20 dB the check proves 91%,
-  and the unproven rows take 0.25 and 0.47.
+  trials, 0.95 in the draw and 1.4-1.5 in the check, which proves 98.7%
+  of its trials. Decoding the whole slice would take 2.4-2.5 in
+  ``synthesize`` (1.8-1.9 of it ``ndtri``) and 2.2 in ``detect``; its
+  unproven rows take 0.2 and 0.25-0.27 when decoded alone, and 0.06 and
+  0.08-0.09 once the block's rows are held into one batch. At 20 dB the
+  check proves 91%, and the held rows take 0.25 and 0.24.
 * Workers run whole points. ``sweep_points`` submits a sweep's points to
   ``cfg.workers`` threads, highest Eb/N0 first (the long points; ties in
   alpha order), and yields them in sweep order; at one worker it runs them
@@ -176,7 +176,7 @@ def _batch_errors(cfg, c, alpha, n0, u):
     i1, i2, h, r = synthesize(u, c, alpha, n0)
     # decide: many short numpy calls, one thread at a time
     with _DECIDER:
-        j1, j2 = detect(cfg.detector, r, h, alpha, c, hint=(i1, i2))
+        j1, j2 = detect(cfg.detector, r, h, alpha, c)
         return int((c.hamming[i1, j1] + c.hamming[i2, j2]).sum())
 
 

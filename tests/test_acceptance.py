@@ -334,7 +334,7 @@ def paired_z(kind, seed, slices):
         e = []
         for alpha in (0.5, 0.7):
             i1, i2, h, r = synthesize(u, c, alpha, n0)
-            j1, j2 = detect("ml", r, h, alpha, c, hint=(i1, i2))
+            j1, j2 = detect("ml", r, h, alpha, c)
             e.append(c.hamming[i1, j1] + c.hamming[i2, j2])
         d = e[1] - e[0]
         n += d.size

@@ -82,13 +82,6 @@ def sic_oracle(r, h, alpha, c):
     return np.array(j1), np.array(j2)
 
 
-def proven(r, h, alpha, c, hint):
-    """The hint check's mask: trials whose hint ``detect`` takes without a table."""
-    plan = detectors._ml_plan(c, alpha)
-    gab, t = detectors._gram_features(r, h, plan)
-    return detectors._hint_proven(r, h, plan, *hint, gab, t)
-
-
 def single_radius2(gab, plan):
     """The radius bound before the case split: ``lmin min(d1^2, d2^2)``, with the same slacks."""
     g, a, b = gab
@@ -120,28 +113,22 @@ def exact_metrics(r, h, plan, row):
     return metrics, r1[0]**2 + r1[1]**2 + r2[0]**2 + r2[1]**2
 
 
-def certificate_ratios(r, h, alpha, c, hint):
-    """Each certificate of the ML docs, checked in exact arithmetic on every trial.
+def certificate_ratios(r, h, alpha, c):
+    """The table's certificates of the ML docs, checked in exact arithmetic on every trial.
 
-    Returns the worst ratio to each bound: the table's error over ``22 u T^2``,
-    ``_score``'s error over ``13 u T^2`` (both at most 1 when the bounds
-    hold), and the least exact gap of a proven hint over ``0.0571 s^2`` (at
-    least 1; ``inf`` when none is proven). Asserts that every gap-certified
-    table argmin is the unique minimum of the exact metrics and of the float
-    ``_score`` row.
+    Returns the worst ratio to each bound: the table's error over ``22 u T^2``
+    and ``_score``'s error over ``13 u T^2``, both at most 1 when the bounds
+    hold. Asserts that every gap-certified table argmin is the unique minimum
+    of the exact metrics and of the float ``_score`` row.
     """
     plan = detectors._ml_plan(c, alpha)
     gab, t = detectors._gram_features(r, h, plan)
-    f = detectors._table_features(r, h, gab, np.arange(len(t)))
+    f = detectors._table_features(r, h, gab)
     table = f @ plan.C
     k, certified = detectors._table_argmin(f, detectors._MARGIN * t * t, plan.C)
     score = detectors._score(r, h, np.repeat(plan.x1, c.M), np.tile(plan.x2, c.M))
-    mask = detectors._hint_proven(r, h, plan, *hint, gab, t)
-    s2 = detectors._radius2(gab, plan)
-    w0 = hint[0] * c.M + hint[1]
     u = Fraction(detectors._U)
     worst_table = worst_score = Fraction(0)
-    worst_gap = math.inf
     for row in range(len(t)):
         metrics, rr = exact_metrics(r, h, plan, row)
         T2 = Fraction(float(t[row]))**2
@@ -153,11 +140,7 @@ def certificate_ratios(r, h, alpha, c, hint):
             best = metrics[k[row]]
             assert all(m > best for w, m in enumerate(metrics) if w != k[row])
             assert (np.delete(score[row], k[row]) > score[row, k[row]]).all()
-        if mask[row]:
-            m0 = metrics[w0[row]]
-            gap = min(m for w, m in enumerate(metrics) if w != w0[row]) - m0
-            worst_gap = min(worst_gap, gap / (Fraction(0.0571) * Fraction(float(s2[row]))))
-    return float(worst_table), float(worst_score), float(worst_gap)
+    return float(worst_table), float(worst_score)
 
 
 def sqrt_above(q):
@@ -180,6 +163,12 @@ def exact_images(h, plan, row):
     u2 = [(mul(h12, cx(x)), mul(h22, cx(x))) for x in plan.x2]
     return [(p1[0] + q1[0], p1[1] + q1[1], p2[0] + q2[0], p2[1] + q2[1])
             for (p1, p2), (q1, q2) in itertools.product(u1, u2)]
+
+
+def exact_least_distance2(h, plan, row):
+    """Exact least ``||H (x(w) - x(w0))||^2`` of trial ``row`` over all pairs ``w != w0``."""
+    return min(sum((a - b)**2 for a, b in zip(p, q))
+               for p, q in itertools.combinations(exact_images(h, plan, row), 2))
 
 
 def bracket_certificate_ratios(u, c, alpha, n0, rows):
@@ -294,22 +283,18 @@ def test_ml_matches_sorting_oracle_random_instances(kind, n_cases):
 @pytest.mark.parametrize("kind", ["qpsk", "qam16"])
 def test_ml_matches_full_search_over_alphas_and_snrs(kind):
     # 202,500 trials per kind: every alpha at 0 to 40 dB, where alpha 0.99
-    # at 40 dB gives the widest spread of metric magnitudes. Each batch is
-    # decided without a hint, with the sent codeword as the hint and with a
-    # wrong one (user 1's index plus one); all three must equal the search.
+    # at 40 dB gives the widest spread of metric magnitudes.
     c = build_constellation(kind)
     for key, (alpha, ebn0_db) in enumerate(itertools.product(ALPHAS, range(0, 41, 5))):
         u = trial_stream(900 + key).random((4_500, DRAWS_PER_TRIAL))
-        i1, i2, h, r = synthesize(u, c, alpha, NoiseModel.from_ebn0_db(ebn0_db).n0)
-        got = [detect("ml", r, h, alpha, c, hint=hint)
-               for hint in (None, (i1, i2), ((i1 + 1) % c.M, i2))]
+        _, _, h, r = synthesize(u, c, alpha, NoiseModel.from_ebn0_db(ebn0_db).n0)
+        j1, j2 = detect("ml", r, h, alpha, c)
         x1, x2 = math.sqrt(alpha) * c.points, math.sqrt(1.0 - alpha) * c.points
-        for lo in range(0, len(i1), 1_500):
+        for lo in range(0, len(j1), 1_500):
             rows = slice(lo, lo + 1_500)
             k1, k2 = detectors._ml_search(tuple(v[rows] for v in r), tuple(v[rows] for v in h),
                                           x1, x2)
-            for j1, j2 in got:
-                assert np.array_equal(j1[rows], k1) and np.array_equal(j2[rows], k2)
+            assert np.array_equal(j1[rows], k1) and np.array_equal(j2[rows], k2)
 
 
 def test_ml_decisions_do_not_depend_on_row_blocks():
@@ -327,18 +312,6 @@ def test_ml_decisions_do_not_depend_on_row_blocks():
             assert np.array_equal(part[1], whole[1][rows])
 
 
-def test_hint_check_proves_most_sent_codewords_at_high_snr():
-    # QPSK, alpha 0.5, 30 dB: the check proves the sent codeword on at least
-    # 90% of trials, and a proven codeword is the ML decision.
-    c = build_constellation("qpsk")
-    u = trial_stream(88).random((10_000, DRAWS_PER_TRIAL))
-    i1, i2, h, r = synthesize(u, c, 0.5, NoiseModel.from_ebn0_db(30.0).n0)
-    mask = proven(r, h, 0.5, c, (i1, i2))
-    assert mask.mean() >= 0.9
-    j1, j2 = detect("ml", r, h, 0.5, c)
-    assert np.array_equal(j1[mask], i1[mask]) and np.array_equal(j2[mask], i2[mask])
-
-
 def test_case_split_radius_never_falls_below_the_single_bound():
     # min(a d1^2, b d2^2, lmin (d1^2 + d2^2)) against lmin min(d1^2, d2^2),
     # both as computed, on random channels of both kinds at every alpha.
@@ -351,25 +324,12 @@ def test_case_split_radius_never_falls_below_the_single_bound():
         assert (detectors._radius2(gab, plan) >= single_radius2(gab, plan)).all()
 
 
-def test_hint_check_proves_most_sent_codewords_at_unequal_powers():
-    # 16QAM, alpha 0.9, 24 dB: the case split proves at least 80% of sent
-    # codewords (the single bound proved about 48%), and a proven codeword
-    # is the ML decision.
-    c = build_constellation("qam16")
-    u = trial_stream(91).random((10_000, DRAWS_PER_TRIAL))
-    i1, i2, h, r = synthesize(u, c, 0.9, NoiseModel.from_ebn0_db(24.0).n0)
-    mask = proven(r, h, 0.9, c, (i1, i2))
-    assert mask.mean() >= 0.8
-    j1, j2 = detect("ml", r, h, 0.9, c)
-    assert np.array_equal(j1[mask], i1[mask]) and np.array_equal(j2[mask], i2[mask])
-
-
 @pytest.mark.parametrize("kind,n_trials", [("qpsk", 20_000), ("qam16", 8_000)])
 def test_bracket_check_proves_only_ml_decisions(kind, n_trials):
     # 1,008,000 trials: 720,000 QPSK and 288,000 16QAM, at four alphas and
     # 0 to 40 dB. Every row that the bracketed check proves must be decided
-    # as sent: by the M^2 search itself for QPSK, and for 16QAM by detect
-    # without a hint, which equals that search (see
+    # as sent: by the M^2 search itself for QPSK, and for 16QAM by detect,
+    # which equals that search (see
     # test_ml_matches_full_search_over_alphas_and_snrs) at 1/40 of its cost.
     c = build_constellation(kind)
     points = list(itertools.product((0.5, 0.7, 0.9, 0.99), range(0, 41, 5)))
@@ -392,17 +352,17 @@ def test_bracket_check_proves_only_ml_decisions(kind, n_trials):
 
 
 @pytest.mark.parametrize("kind,alpha,ebn0_db,floor", [("qpsk", 0.5, 30.0, 0.95),
-                                                      ("qam16", 0.5, 24.0, 0.88)])
-def test_bracket_check_proves_nearly_as_much_as_the_hint_check(kind, alpha, ebn0_db, floor):
-    # On 20,000 trials the bracketed check proved 98.6% (QPSK, 30 dB) and
-    # 90.7% (16QAM, 24 dB), against 99.1% and 91.3% for the hint check on
-    # the synthesized trials.
+                                                      ("qam16", 0.5, 24.0, 0.88),
+                                                      ("qam16", 0.9, 24.0, 0.8)])
+def test_bracket_check_proves_most_sent_codewords(kind, alpha, ebn0_db, floor):
+    # On these 20,000 trials the check proves 98.6% (QPSK, 30 dB), 90.5%
+    # (16QAM, 24 dB) and, at unequal powers, 84.4%, where the single bound
+    # lmin min(d1^2, d2^2) in place of the case split proves 46.5%. That a
+    # proven codeword is the ML decision is test_bracket_check_proves_only_ml_decisions.
     c = build_constellation(kind)
     n0 = NoiseModel.from_ebn0_db(ebn0_db).n0
     u = trial_stream(92).random((20_000, DRAWS_PER_TRIAL))
-    share = detectors.bracket_proven(u, c, alpha, n0).mean()
-    i1, i2, h, r = synthesize(u, c, alpha, n0)
-    assert share >= floor and share >= proven(r, h, alpha, c, (i1, i2)).mean() - 0.01
+    assert detectors.bracket_proven(u, c, alpha, n0).mean() >= floor
 
 
 @pytest.mark.parametrize("kind,alpha,ebn0_db", [
@@ -429,77 +389,89 @@ def test_bracket_certificates_hold_in_exact_arithmetic(kind, alpha, ebn0_db):
 @pytest.mark.parametrize("kind,n_cases", [("qpsk", 240), ("qam16", 24)])
 def test_ml_certificates_hold_in_exact_arithmetic_random_trials(kind, n_cases):
     # Random trials over every alpha at 0 to 40 dB, each against all M^2
-    # codewords, with the sent codeword as the hint.
+    # codewords.
     c = build_constellation(kind)
     u = trial_stream(4713).random((n_cases, DRAWS_PER_TRIAL))
     points = list(itertools.product(ALPHAS, (0.0, 20.0, 40.0)))
     for k, (alpha, ebn0_db) in enumerate(points):
-        i1, i2, h, r = synthesize(u[k::len(points)], c, alpha, NoiseModel.from_ebn0_db(ebn0_db).n0)
-        table, score, gap = certificate_ratios(r, h, alpha, c, (i1, i2))
-        assert table <= 1 and score <= 1 and gap >= 1
+        _, _, h, r = synthesize(u[k::len(points)], c, alpha, NoiseModel.from_ebn0_db(ebn0_db).n0)
+        table, score = certificate_ratios(r, h, alpha, c)
+        assert table <= 1 and score <= 1
 
 
 def test_ml_certificates_hold_in_exact_arithmetic_built_trials():
+    # _radius2's s^2 is at most the exact least ||H (x(w) - x(w0))||^2, and
+    # the table and score bounds hold, on built channels.
     c = build_constellation("qpsk")
     alpha = 0.9
     plan = detectors._ml_plan(c, alpha)
-    i1, i2, x1, x2 = scaled_codewords(c, alpha)
-    n = len(i1)
+    _, _, x1, x2 = scaled_codewords(c, alpha)
+    n = len(x1)
     # A weak user-1 column and a strong user-2 column: lmin is near a, so
     # at unequal powers a d1^2 = 0.036 is about 9 times lmin min(d1^2, d2^2).
-    # Noise of squared norm 0.0021 puts 4.5 e^2 between the two bounds.
+    # Changing user 1's symbol alone is the nearest image, at exactly a d1^2,
+    # and the case split's s^2 is within 1e-9 of it.
     h = channel(n, 0.1, 0.2, 0, 1)
     r = (0.1 * x1 + 0.2 * x2 + (0.02 + 0.02j), x2 + (0.03 + 0.02j))
     gab, _ = detectors._gram_features(r, h, plan)
-    assert (single_radius2(gab, plan) < 4.5 * 0.0021).all()
-    assert proven(r, h, alpha, c, (i1, i2)).all()
-    table, score, gap = certificate_ratios(r, h, alpha, c, (i1, i2))
-    assert table <= 1 and score <= 1 and gap >= 1
-    # Move each received vector from x(w0) toward its user-1 neighbour
-    # (k1 ^ 1), which sits at exactly s = sqrt(a d1^2), by 1 -+ 1e-6 times
-    # the largest e the check accepts, s / sqrt(4.5). Just inside, the hint
-    # is proven and the neighbour's exact gap is (1 - 2 / sqrt(4.5)) s^2,
-    # within 0.2% of the 0.0571 s^2 bound; just outside, it is not proven.
-    s = math.sqrt(0.01 * plan.d1)
-    assert detectors._radius2(gab, plan).max() <= s * s
-    step = 0.1 * (plan.x1[i1 ^ 1] - x1)
-    for factor, inside in ((1 - 1e-6, True), (1 + 1e-6, False)):
-        rho = factor / math.sqrt(4.5)
-        r = (0.1 * x1 + 0.2 * x2 + rho * step, x2)
-        assert (proven(r, h, alpha, c, (i1, i2)) == inside).all()
-        table, score, gap = certificate_ratios(r, h, alpha, c, (i1, i2))
-        assert table <= 1 and score <= 1 and gap >= 1
-        assert gap < 1.002 if inside else gap == math.inf
-        assert np.array_equal(detect("ml", r, h, alpha, c, hint=(i1, i2))[0], i1)
+    s2 = detectors._radius2(gab, plan)
+    least = exact_least_distance2(h, plan, 0)
+    assert Fraction(float(s2[0])) <= least and s2[0] > (1 - 1e-9) * float(least)
+    assert (s2 == s2[0]).all() and (single_radius2(gab, plan) < s2 / 8).all()
+    table, score = certificate_ratios(r, h, alpha, c)
+    assert table <= 1 and score <= 1
     # Near-singular and singular H^H H: user 2's column is (1 + 1j) times
     # user 1's plus 1e-7, or exactly twice it. lmin is below 1e-13 or 0, so
-    # nothing is proven, and the table and score bounds still hold.
+    # s^2 is tiny or not positive, and the table and score bounds still hold.
     h1 = np.array([0.8 + 0.3j, -0.5 + 0.6j])
     for h2 in ((1 + 1j) * h1 + 1e-7, 2 * h1):
         h = channel(n, h1[0], h2[0], h1[1], h2[1])
         r = (h[0] * x1 + h[1] * x2 + 0.01, h[2] * x1 + h[3] * x2 - 0.01j)
-        assert not proven(r, h, alpha, c, (i1, i2)).any()
-        table, score, gap = certificate_ratios(r, h, alpha, c, (i1, i2))
-        assert table <= 1 and score <= 1 and gap == math.inf
+        gab, _ = detectors._gram_features(r, h, plan)
+        s2 = detectors._radius2(gab, plan)
+        assert (s2 == s2[0]).all() and s2[0] < 1e-12
+        assert Fraction(float(s2[0])) <= exact_least_distance2(h, plan, 0)
+        table, score = certificate_ratios(r, h, alpha, c)
+        assert table <= 1 and score <= 1
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_hint_check_proves_no_nan_or_infinite_trial():
-    # Four trials whose sent codeword is proven get a NaN or an infinity in
-    # r or h; none of them may be proven, and detect decides them as
-    # without a hint (the infinities make NaN metrics, hence the warnings).
+def test_ml_decides_nan_and_infinite_trials_by_the_full_search():
+    # Four trials get a NaN or an infinity in r or h. Their gap is not
+    # finite, so detect decides them by the M^2 search (the infinities make
+    # NaN metrics, hence the warnings), and the other trials as before.
     c = build_constellation("qpsk")
     u = trial_stream(89).random((50, DRAWS_PER_TRIAL))
-    i1, i2, h, r = synthesize(u, c, 0.5, NoiseModel.from_ebn0_db(30.0).n0)
-    bad = np.flatnonzero(proven(r, h, 0.5, c, (i1, i2)))[:4]
-    assert len(bad) == 4
+    _, _, h, r = synthesize(u, c, 0.5, NoiseModel.from_ebn0_db(30.0).n0)
+    before = detect("ml", r, h, 0.5, c)
+    bad = [3, 17, 29, 41]
     r[0][bad[0]] = np.nan
     h[1][bad[1]] = complex(np.nan, 0.0)
     r[1][bad[2]] = np.inf
     h[3][bad[3]] = complex(0.0, -np.inf)
-    assert not proven(r, h, 0.5, c, (i1, i2))[bad].any()
-    without, hinted = detect("ml", r, h, 0.5, c), detect("ml", r, h, 0.5, c, hint=(i1, i2))
-    assert np.array_equal(without[0], hinted[0]) and np.array_equal(without[1], hinted[1])
+    j1, j2 = detect("ml", r, h, 0.5, c)
+    plan = detectors._ml_plan(c, 0.5)
+    k1, k2 = detectors._ml_search(r, h, plan.x1, plan.x2)
+    assert np.array_equal(j1, k1) and np.array_equal(j2, k2)
+    good = np.setdiff1d(np.arange(50), bad)
+    assert np.array_equal(j1[good], before[0][good]) and np.array_equal(j2[good], before[1][good])
+
+
+@pytest.mark.parametrize("kind", ["qpsk", "qam16"])
+def test_ml_sends_trials_that_may_underflow_to_the_full_search(kind):
+    # Scaling r and h by 1e-161 puts T near 1e-161, where _MARGIN T^2
+    # underflows to 0 and the table's gap certified wrong argmins; T at or
+    # under 1e-150 now goes to the M^2 search. At 1e-149 the table decides.
+    c = build_constellation(kind)
+    u = trial_stream(5).random((2_000, DRAWS_PER_TRIAL))
+    for alpha in (0.5, 0.9):
+        plan = detectors._ml_plan(c, alpha)
+        _, _, h, r = synthesize(u, c, alpha, NoiseModel.from_ebn0_db(10.0).n0)
+        for scale in (1e-149, 1e-161):
+            rs, hs = tuple(v * scale for v in r), tuple(v * scale for v in h)
+            j1, j2 = detect("ml", rs, hs, alpha, c)
+            k1, k2 = detectors._ml_search(rs, hs, plan.x1, plan.x2)
+            assert np.array_equal(j1, k1) and np.array_equal(j2, k2)
 
 
 def test_ml_plan_is_built_once_per_constellation_and_alpha():
@@ -526,16 +498,16 @@ def test_ml_decisions_after_another_alpha_match_a_fresh_process(tmp_path):
     n0 = NoiseModel.from_ebn0_db(18.0).n0
     _, _, h, r = synthesize(u, c, 0.6, n0)
     detect("ml", r, h, 0.6, c)
-    i1, i2, h, r = synthesize(u, c, 0.9, n0)
-    here = [detect("ml", r, h, 0.9, c, hint=hint) for hint in (None, (i1, i2))]
+    _, _, h, r = synthesize(u, c, 0.9, n0)
+    here = detect("ml", r, h, 0.9, c)
     script = (
         "import sys, numpy as np\n"
         "from noma_uplink import NoiseModel, build_constellation, detect, synthesize\n"
         "from noma_uplink.rng import DRAWS_PER_TRIAL, trial_stream\n"
         "c = build_constellation('qam16')\n"
         "u = trial_stream(93).random((3_000, DRAWS_PER_TRIAL))\n"
-        "i1, i2, h, r = synthesize(u, c, 0.9, NoiseModel.from_ebn0_db(18.0).n0)\n"
-        "np.save(sys.argv[1], [detect('ml', r, h, 0.9, c, hint=k) for k in (None, (i1, i2))])\n"
+        "_, _, h, r = synthesize(u, c, 0.9, NoiseModel.from_ebn0_db(18.0).n0)\n"
+        "np.save(sys.argv[1], detect('ml', r, h, 0.9, c))\n"
     )
     out = tmp_path / "fresh.npy"
     src = str(Path(detectors.__file__).parents[1])
@@ -544,27 +516,16 @@ def test_ml_decisions_after_another_alpha_match_a_fresh_process(tmp_path):
     assert np.array_equal(np.load(out), np.array(here))
 
 
-def test_ml_rejects_malformed_hint():
-    c = build_constellation("qpsk")
-    u = trial_stream(90).random((5, DRAWS_PER_TRIAL))
-    i1, i2, h, r = synthesize(u, c, 0.6, 0.1)
-    for hint in ((i1 - c.M, i2), (i1, i2 + c.M), (i1[:4], i2[:4]), (i1 + 0.0, i2), (i1, i2, i2)):
-        with pytest.raises(ValueError, match="hint"):
-            detect("ml", r, h, 0.6, c, hint=hint)
-
-
 @pytest.mark.parametrize("kind,n_cases", [("qpsk", 700), ("qam16", 300)])
 def test_sic_matches_scalar_oracle_random_instances(kind, n_cases):
     c = build_constellation(kind)
     u = trial_stream(4712).random((n_cases, DRAWS_PER_TRIAL))
     n0 = NoiseModel.from_ebn0_db(5.0).n0
     for k, alpha in enumerate(ALPHAS):
-        i1, i2, h, r = synthesize(u[k::len(ALPHAS)], c, alpha, n0)
+        _, _, h, r = synthesize(u[k::len(ALPHAS)], c, alpha, n0)
         o1, o2 = sic_oracle(r, h, alpha, c)
-        # SIC ignores a hint, right or wrong
-        for hint in (None, (i1, i2), ((i1 + 1) % c.M, i2)):
-            j1, j2 = detect("sic", r, h, alpha, c, hint=hint)
-            assert np.array_equal(j1, o1) and np.array_equal(j2, o2)
+        j1, j2 = detect("sic", r, h, alpha, c)
+        assert np.array_equal(j1, o1) and np.array_equal(j2, o2)
 
 
 def test_ml_invariant_under_common_phase_rotation():
@@ -645,13 +606,6 @@ def test_ml_exact_tie_falls_back_to_full_search(monkeypatch):
     assert searched == [c.M]
     assert np.array_equal(j1, i1) and not j2.any()
     assert np.array_equal(metric_oracle(r, h, alpha, c), i1 * c.M)
-    # no codeword is proven as a hint, and the tied higher index as the
-    # hint still loses to the lower one
-    for k1, k2 in itertools.product(range(c.M), repeat=2):
-        assert not proven(r, h, alpha, c, (np.full(c.M, k1), np.full(c.M, k2))).any()
-    j1, j2 = detect("ml", r, h, alpha, c, hint=(i1, np.full(c.M, 2)))
-    assert searched == [c.M, c.M]
-    assert np.array_equal(j1, i1) and not j2.any()
 
 
 def test_ml_zero_user2_column_falls_back_to_full_search():
@@ -660,33 +614,31 @@ def test_ml_zero_user2_column_falls_back_to_full_search():
     c = build_constellation("qam16")
     u = trial_stream(12).random((200, DRAWS_PER_TRIAL))
     u[:, [4, 5, 8, 9]] = 0.5
-    i1, i2, h, r = synthesize(u, c, 0.7, NoiseModel.from_ebn0_db(10.0).n0)
+    n0 = NoiseModel.from_ebn0_db(10.0).n0
+    _, i2, h, r = synthesize(u, c, 0.7, n0)
     assert not h[1].any() and not h[3].any()
     j1, j2 = detect("ml", r, h, 0.7, c)
     assert not j2.any()
     assert np.array_equal(j1 * c.M + j2, metric_oracle(r, h, 0.7, c))
-    # the sent codeword is never proven, so it gives the same decisions
-    assert i2.any() and not proven(r, h, 0.7, c, (i1, i2)).any()
-    hinted = detect("ml", r, h, 0.7, c, hint=(i1, i2))
-    assert np.array_equal(hinted[0], j1) and not hinted[1].any()
+    # s = 0, so the bracketed check proves no sent codeword, though most
+    # have a user-2 index other than the decided 0
+    assert i2.any() and not detectors.bracket_proven(u, c, 0.7, n0).any()
 
 
 @pytest.mark.parametrize("kind", ["qpsk", "qam16"])
 def test_ml_decisions_do_not_depend_on_the_batch(kind):
     # A trial's decision must not depend on the other trials of its batch,
-    # although the hint check leaves each batch a different set of trials
-    # for the table: a slice decided whole, then in random row subsets (in
-    # random order), with the sent codewords, a random hint and no hint.
+    # although the harness gives detect a different set of unproven trials
+    # in each batch: a slice decided whole, then in random row subsets (in
+    # random order).
     c = build_constellation(kind)
     rng = np.random.default_rng(2026)
     u = trial_stream(79).random((2_500, DRAWS_PER_TRIAL))
     for alpha, ebn0_db in ((0.5, 10.0), (0.9, 24.0)):
-        i1, i2, h, r = synthesize(u, c, alpha, NoiseModel.from_ebn0_db(ebn0_db).n0)
-        for hint in ((i1, i2), tuple(rng.integers(0, c.M, (2, len(i1)))), None):
-            whole = detect("ml", r, h, alpha, c, hint=hint)
-            for size in (1, 157, 1_000, 2_499):
-                rows = rng.choice(len(i1), size, replace=False)
-                part = detect("ml", tuple(v[rows] for v in r), tuple(v[rows] for v in h), alpha,
-                              c, hint=None if hint is None else tuple(k[rows] for k in hint))
-                assert np.array_equal(part[0], whole[0][rows])
-                assert np.array_equal(part[1], whole[1][rows])
+        _, _, h, r = synthesize(u, c, alpha, NoiseModel.from_ebn0_db(ebn0_db).n0)
+        whole = detect("ml", r, h, alpha, c)
+        for size in (1, 157, 1_000, 2_499):
+            rows = rng.choice(len(u), size, replace=False)
+            part = detect("ml", tuple(v[rows] for v in r), tuple(v[rows] for v in h), alpha, c)
+            assert np.array_equal(part[0], whole[0][rows])
+            assert np.array_equal(part[1], whole[1][rows])

@@ -223,7 +223,7 @@ class TestStoppingPolicy:
     def test_one_worker_point_opens_one_stream(self, monkeypatch):
         # A 3-block point at one worker draws every slice from the stream
         # its first slice opened; its errors are those of a stream opened at
-        # each slice, decided without a hint, and its BerPoint that of two workers.
+        # each slice and decided whole, and its BerPoint that of two workers.
         opened = []
 
         def counting_stream(key, lo=0):
@@ -280,7 +280,7 @@ def unchecked_point(cfg, alpha, ebn0_db):
     """``(bit_errors, codewords_used)`` of a point whose every slice is decided whole.
 
     The stopping rule of the module docs, with each slice drawn, synthesized
-    and decided by ``detect`` without a hint and without the bracketed check.
+    and decided by ``detect`` without the bracketed check.
     """
     c = build_constellation(cfg.kind)
     n0 = NoiseModel.from_ebn0_db(ebn0_db).n0
