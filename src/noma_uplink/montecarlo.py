@@ -29,20 +29,26 @@ min_bit_errors, max_codewords): the worker count never changes the result.
 * A batch is decoded by one call of a per-batch function, so its arrays
   are freed before the next slice is drawn (a slice inlined in the block
   loop kept the last one's arrays alive and read 0.6 MB more peak RSS on
-  the 16QAM benchmark). For ML, a slice with more than ``SLICE / 2``
-  unproven trials is decoded whole, from the draw buffer; its proven
-  trials are decided as sent, as the check proved. Otherwise its unproven
-  rows are copied and held, and the held rows are decoded as one batch
-  before they would pass ``SLICE / 2`` rows, and at the block's end, since
-  the stopping rule reads the block's errors. So at high Eb/N0 one batch
-  of a few hundred rows is decoded per block. The cap keeps each batch's
-  arrays small: holding up to ``SLICE`` rows read about 0.5 MB more peak
-  RSS on the QPSK benchmark. The check reads the channel's brackets, then
-  the noise's, and frees the first before it reads the second. With all 12
-  read at once its arrays peaked at about 650 kB a slice, and glibc
-  trimmed and re-faulted the heap each slice: the QPSK benchmark's child
-  read 200-280 thousand minor faults and 0.26-0.40 s of system time,
-  against 6-10 thousand and about 0.01 s with the peak at 470 kB.
+  the 16QAM benchmark). Every slice takes one decoding path: its rows to
+  decode (ML's unproven rows, or every SIC row) are copied into one held
+  buffer of ``SLICE / 2`` rows, allocated once per point beside the draw
+  buffer, and the held buffer is decoded whenever it is full, and at the
+  block's end, since the stopping rule reads the block's errors. So a
+  proven row is never synthesized, and at high Eb/N0 one batch of a few
+  hundred rows is decoded per block. The cap keeps each batch's arrays
+  small: a held buffer of ``SLICE`` rows read 0.3-0.5 MB more peak RSS
+  and 2-3x the minor faults on the Monte Carlo benchmarks. Deciding a
+  mostly unproven slice whole from the draw buffer instead also decodes
+  its proven rows: in ms per 10^4 trials (best of 5), a QPSK point at
+  alpha 0.5, 10 dB took 7.5-8.5 that way against 5.0-5.1 held, and a
+  16QAM point at alpha 0.9, 16 dB 9.6-10.8 against 7.1-7.2, and the
+  benchmarks read 0.25-0.33 MB more peak RSS. The check reads the
+  channel's brackets, then the noise's, and frees the first before it
+  reads the second. With all 12 read at once its arrays peaked at about
+  650 kB a slice, and glibc trimmed and re-faulted the heap each slice:
+  the QPSK benchmark's child read 200-280 thousand minor faults and
+  0.26-0.40 s of system time, against 6-10 thousand and about 0.01 s with
+  the peak at 470 kB.
 * Decoding *produces*: the Philox fill into the draw buffer and
   ``synthesize``, whose long calls (the fill and ``ndtri``) release the
   GIL. Then it *decides*: ``detect`` and the Hamming sum, many short numpy
@@ -82,6 +88,8 @@ import threading
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
+
+import numpy as np
 
 from .channel import (NoiseModel, synthesize, validate_alpha, validate_alphas, validate_count,
                       validate_ebn0_grid)
@@ -180,40 +188,34 @@ def _batch_errors(cfg, c, alpha, n0, u):
         return int((c.hamming[i1, j1] + c.hamming[i2, j2]).sum())
 
 
-def _block_errors(cfg, c, alpha, n0, gen, buf, trials):
+def _block_errors(cfg, c, alpha, n0, gen, buf, hold, trials):
     """Bit errors in the next ``trials`` trials of ``gen``, drawn a slice at a time into ``buf``.
 
-    SIC decodes each slice whole. ML first finds the rows whose sent
-    codeword ``bracket_proven`` proves: that codeword is their decision, so
-    they hold no error. A slice with more than ``SLICE // 2`` unproven rows
-    is decoded whole, from the buffer. Otherwise its unproven rows are
-    copied and held, and the held rows are decoded as one batch before
-    they would pass ``SLICE // 2`` rows, and at the block's end.
+    Each slice's rows to decode are copied into ``hold``, which is decoded
+    whenever it is full and at the block's end. For ML those are the rows
+    whose sent codeword ``bracket_proven`` does not prove (a proven
+    codeword is its trial's decision, so it holds no error); for SIC, every
+    row.
     """
-    import numpy as np
-
-    errors, held, rows = 0, [], 0
+    errors, rows = 0, 0
     for lo in range(0, trials, SLICE):
         # the buffer's length caps a slice at SLICE rows
         u = gen.random(out=buf[:trials - lo])
-        if cfg.detector != "ml":
-            errors += _batch_errors(cfg, c, alpha, n0, u)
-            continue
-        with _DECIDER:
-            todo = ~bracket_proven(u, c, alpha, n0)
-        n = int(np.count_nonzero(todo))
-        if rows and rows + n > SLICE // 2:
-            # the pieces go before the batch is decided; only their copy stays
-            batch, held, rows = np.concatenate(held), [], 0
-            errors += _batch_errors(cfg, c, alpha, n0, batch)
-        if n > SLICE // 2:
-            errors += _batch_errors(cfg, c, alpha, n0, u)
-        elif n:
-            held.append(u[todo])
-            rows += n
+        if cfg.detector == "ml":
+            with _DECIDER:
+                todo = np.flatnonzero(~bracket_proven(u, c, alpha, n0))
+        else:
+            todo = np.arange(len(u))
+        while len(todo):
+            n = min(len(todo), len(hold) - rows)
+            # the indices are valid, and mode="raise" would buffer the copy
+            np.take(u, todo[:n], axis=0, out=hold[rows:rows + n], mode="clip")
+            todo, rows = todo[n:], rows + n
+            if rows == len(hold):
+                errors += _batch_errors(cfg, c, alpha, n0, hold)
+                rows = 0
     if rows:
-        batch, held = np.concatenate(held), None
-        errors += _batch_errors(cfg, c, alpha, n0, batch)
+        errors += _batch_errors(cfg, c, alpha, n0, hold[:rows])
     return errors
 
 
@@ -223,19 +225,18 @@ def run_ber_point(cfg, alpha, ebn0_db, *, stop=None):
     The slices run in the calling thread. Once ``stop`` (a ``threading.Event``,
     or None) is set, the point raises ``CancelledError`` at its next block.
     """
-    import numpy as np
-
     alpha = validate_alpha(alpha)
     nm = NoiseModel.from_ebn0_db(ebn0_db)
     c = build_constellation(cfg.kind)
     gen = trial_stream(point_stream_key(cfg.seed, alpha, nm.ebn0_db))
     buf = np.empty((min(SLICE, cfg.max_codewords), DRAWS_PER_TRIAL))
+    hold = np.empty((min(SLICE // 2, cfg.max_codewords), DRAWS_PER_TRIAL))
     errors = 0
     for first in range(0, cfg.max_codewords, TRIALS_PER_BLOCK):
         if stop is not None and stop.is_set():
             raise CancelledError(f"point alpha={alpha} Eb/N0={nm.ebn0_db} dB was stopped")
         trials = min(first + TRIALS_PER_BLOCK, cfg.max_codewords)
-        errors += _block_errors(cfg, c, alpha, nm.n0, gen, buf, trials - first)
+        errors += _block_errors(cfg, c, alpha, nm.n0, gen, buf, hold, trials - first)
         if errors >= cfg.min_bit_errors:
             break
     return BerPoint(alpha=alpha, ebn0_db=nm.ebn0_db, kind=cfg.kind, seed=cfg.seed,

@@ -40,6 +40,8 @@ WORKERS = 2
 # detect takes one alpha per call; the random-instance criteria (6d, 6e)
 # split their instances evenly over these.
 DETECT_ALPHAS = (0.5, 0.6, 0.75, 0.9, 0.99)
+# criterion 6j checks the Monte Carlo BER rise at each consecutive step
+RISE_ALPHAS = (0.7, 0.8, 0.9, 0.99)
 
 # -- Published reference values ----------------------------------------------
 # The 15-row QPSK error-event PEP table at SNR 20 dB (1/N0 = 100), printed
@@ -317,13 +319,13 @@ def test_criterion_6h_ber_ordering_in_alpha():
            " < ".join(f"{p.ber:.2e}" for p in pts))
 
 
-def paired_z(kind, seed, slices):
-    """z of BER(0.7) - BER(0.5) at 20 dB, paired over ``slices`` 2,500-row slices of one stream.
+def paired_z(kind, seed, slices, pair):
+    """z of BER(pair[1]) - BER(pair[0]) at 20 dB over ``slices`` 2,500-row slices of one stream.
 
-    The same draw rows go through the signal model and ML at alpha 0.5 and
-    0.7, so the per-codeword difference d = e(0.7) - e(0.5) in bit errors
-    has a small variance. The sums (N, sum d, sum d^2) are exact integers;
-    z is the mean of d over its standard error. Returns (z, sum d, N).
+    The same draw rows go through the signal model and ML at both alphas,
+    so the per-codeword difference d = e(pair[1]) - e(pair[0]) in bit
+    errors has a small variance. The sums (N, sum d, sum d^2) are exact
+    integers; z is the mean of d over its standard error. Returns (z, sum d, N).
     """
     c = build_constellation(kind)
     n0 = NoiseModel.from_ebn0_db(20.0).n0
@@ -332,7 +334,7 @@ def paired_z(kind, seed, slices):
     for _ in range(slices):
         u = stream.random((2_500, DRAWS_PER_TRIAL))
         e = []
-        for alpha in (0.5, 0.7):
+        for alpha in pair:
             i1, i2, h, r = synthesize(u, c, alpha, n0)
             j1, j2 = detect("ml", r, h, alpha, c)
             e.append(c.hamming[i1, j1] + c.hamming[i2, j2])
@@ -347,16 +349,30 @@ def paired_z(kind, seed, slices):
 def test_criterion_6i_paired_ber_near_balance():
     # The paper's claim near alpha = 1/2, where it is sharpest, over 10^6
     # paired QPSK trials.
-    z, s1, n = paired_z("qpsk", ACCEPTANCE_SEED + 5, 400)
+    z, s1, n = paired_z("qpsk", ACCEPTANCE_SEED + 5, 400, (0.5, 0.7))
     report("6i (paired QPSK ML at 20 dB: BER(0.7) > BER(0.5), z >= 5)", z >= 5.0,
            f"z={z:.2f}, sum d={s1} over {n} codewords")
 
 
 def test_criterion_6i_paired_ber_near_balance_qam16():
     # The same claim for 16QAM over 3 * 10^5 paired trials.
-    z, s1, n = paired_z("qam16", ACCEPTANCE_SEED + 6, 120)
+    z, s1, n = paired_z("qam16", ACCEPTANCE_SEED + 6, 120, (0.5, 0.7))
     report("6i (paired 16QAM ML at 20 dB: BER(0.7) > BER(0.5), z >= 5)", z >= 5.0,
            f"z={z:.2f}, sum d={s1} over {n} codewords")
+
+
+@pytest.mark.parametrize("kind,seed,slices", [
+    ("qpsk", ACCEPTANCE_SEED + 7, 80), ("qam16", ACCEPTANCE_SEED + 8, 40)])
+def test_criterion_6j_paired_ber_rises_across_alpha(kind, seed, slices):
+    # Criterion 3's non-decreasing grid at the simulator: BER rises at each
+    # step of RISE_ALPHAS, every alpha on the same draw rows. The weakest step,
+    # 0.7 to 0.8, read z = 7.0-8.0 (QPSK) and 12.9-13.7 (16QAM) over 10^5
+    # trials of stream seeds 11-13, which the check does not use.
+    steps = list(zip(RISE_ALPHAS, RISE_ALPHAS[1:]))
+    zs = [paired_z(kind, seed, slices, pair)[0] for pair in steps]
+    report(f"6j (paired {kind} ML at 20 dB: BER rises at each alpha step, z >= 5)",
+           min(zs) >= 5.0, ", ".join(f"{a}->{b}: z={z:.2f}" for (a, b), z in zip(steps, zs))
+           + f" over {slices * 2_500} codewords")
 
 
 def test_criterion_7_channel_statistics():

@@ -299,17 +299,19 @@ def unchecked_point(cfg, alpha, ebn0_db):
 
 
 class TestBracketedCheck:
-    @pytest.mark.parametrize("kind,alpha,ebn0_db", [
-        # slices mostly unproven, so decided whole (5 dB, alpha 0.99 at 20 dB,
-        # 16QAM at 16 dB); whole slices and held rows in one block (11 dB);
-        # held rows decided every one or two slices (15 dB, alpha 0.99 at
-        # 25 dB); held rows decided once a block (30 dB, 16QAM at 24 dB)
-        ("qpsk", 0.5, 5.0), ("qpsk", 0.99, 20.0), ("qam16", 0.9, 16.0), ("qpsk", 0.5, 11.0),
-        ("qpsk", 0.5, 15.0), ("qpsk", 0.99, 25.0), ("qpsk", 0.5, 30.0), ("qam16", 0.5, 24.0),
+    @pytest.mark.parametrize("kind,alpha,ebn0_db,detector", [
+        # held rows decided in 5-7 batches a block (5 and 11 dB, alpha 0.99 at
+        # 20 dB, 16QAM at 16 dB), in 3-4 (15 dB, alpha 0.99 at 25 dB) or in one
+        # (30 dB, 16QAM at 24 dB); SIC holds every row, 8 full batches a block
+        ("qpsk", 0.5, 5.0, "ml"), ("qpsk", 0.99, 20.0, "ml"), ("qam16", 0.9, 16.0, "ml"),
+        ("qpsk", 0.5, 11.0, "ml"), ("qpsk", 0.5, 15.0, "ml"), ("qpsk", 0.99, 25.0, "ml"),
+        ("qpsk", 0.5, 30.0, "ml"), ("qam16", 0.5, 24.0, "ml"),
+        ("qpsk", 0.5, 5.0, "sic"), ("qam16", 0.9, 16.0, "sic"),
     ])
-    def test_point_equals_the_unchecked_slice_loop(self, kind, alpha, ebn0_db):
+    def test_point_equals_the_unchecked_slice_loop(self, kind, alpha, ebn0_db, detector):
         # 41,234 trials: four full blocks, then a block of one short slice
-        cfg = small_cfg(kind=kind, seed=424242, max_codewords=41_234, min_bit_errors=10**9)
+        cfg = small_cfg(kind=kind, detector=detector, seed=424242, max_codewords=41_234,
+                        min_bit_errors=10**9)
         p = run_ber_point(cfg, alpha, ebn0_db)
         assert (p.bit_errors, p.codewords_used) == unchecked_point(cfg, alpha, ebn0_db)
 
@@ -321,8 +323,8 @@ class TestBracketedCheck:
 
     @pytest.mark.parametrize("ebn0_db", [5.0, 11.0, 15.0, 30.0])
     def test_batches_are_at_most_a_slice_and_hold_only_unproven_rows(self, monkeypatch, ebn0_db):
-        # ML decides whole slices, or held unproven rows in batches of at most
-        # SLICE / 2; every row decided past the check is one it left unproven.
+        # ML decides held unproven rows in batches of at most SLICE / 2, never a
+        # slice whole; every row it decides is one the check left unproven.
         batches = []
         batch_errors = montecarlo._batch_errors
 
@@ -338,15 +340,15 @@ class TestBracketedCheck:
             (cfg.max_codewords, DRAWS_PER_TRIAL))
         unproven = {row.tobytes() for row in u[~detectors.bracket_proven(u, c, 0.5, n0)]}
         for batch in batches:
-            assert len(batch) == montecarlo.SLICE or 0 < len(batch) <= montecarlo.SLICE // 2
-            if len(batch) < montecarlo.SLICE:
-                assert {row.tobytes() for row in batch} <= unproven
+            assert 0 < len(batch) <= montecarlo.SLICE // 2
+            assert {row.tobytes() for row in batch} <= unproven
         decided = {row.tobytes() for batch in batches for row in batch}
         assert unproven <= decided
         if ebn0_db == 30.0:
             assert len(batches) == 2  # one batch per block
 
     def test_sic_decides_every_slice_without_the_check(self, monkeypatch):
+        # SIC holds every row, so a full block is 8 full batches of SLICE / 2
         checked, sizes = [], []
         check, batch_errors = montecarlo.bracket_proven, montecarlo._batch_errors
         monkeypatch.setattr(montecarlo, "bracket_proven",
@@ -356,7 +358,7 @@ class TestBracketedCheck:
                             or batch_errors(cfg, c, alpha, n0, u))
         cfg = small_cfg(detector="sic", max_codewords=12_345, min_bit_errors=10**9)
         p = run_ber_point(cfg, 0.9, 30.0)
-        assert checked == [] and sizes == [2_500] * 4 + [2_345]
+        assert checked == [] and sizes == [1_250] * 9 + [1_095]
         assert (p.bit_errors, p.codewords_used) == unchecked_point(cfg, 0.9, 30.0)
         run_ber_point(dataclasses.replace(cfg, detector="ml"), 0.9, 30.0)
         assert checked == [2_500] * 4 + [2_345]
