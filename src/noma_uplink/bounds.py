@@ -1,7 +1,8 @@
 """PEP upper bounds, the union bound on the ABEP, and why alpha = 1/2 minimizes it.
 
 Codewords are pairs of symbol indices; every quantity here is computed
-from indices, ``Constellation.points`` and ``Constellation.hamming``. For
+from indices, ``Constellation.points``, ``Constellation.hamming`` and the
+per-user symbol-pair classes ``Constellation.pair_classes``. For
 the error event from ``(i1, i2)`` to ``(k1, k2)``, with symbol differences
 ``(u, v) = (points[i1] - points[k1], points[i2] - points[k2])`` and
 ``n_bits = hamming[i1, k1] + hamming[i2, k2]``, the scaled difference
@@ -35,11 +36,13 @@ so it is evaluated on the given constellation's distance spectrum, cached
 per instance (one per kind): each distinct triple with its multiplicity,
 grouped on the exact floating-point values, so every class member has the
 same rounded term. An event is a symbol pair of user 1 with one of user 2,
-so the spectrum is built from per-user classes: one user's M^2 symbol pairs
-grouped on ``(|p_i - p_k|^2, hamming[i, k])`` (3 classes for QPSK, 13 for
-16QAM), each event class a user-1 class with a user-2 class, ``n_bits``
-the sum of theirs and the multiplicity the product, less the one pair in
-which both users keep their symbol. No M^4-row event table is built.
+so the spectrum is built from the per-user classes of
+``Constellation.pair_classes``, one user's M^2 symbol pairs grouped on
+``(|p_i - p_k|^2, hamming[i, k])`` (3 classes for QPSK, 13 for 16QAM):
+each event class is a user-1 class with a user-2 class, ``n_bits`` the sum
+of theirs and the multiplicity the product, less the one pair in which
+both users keep their symbol. No M^4-row event table is built, and no
+symbol difference is formed here.
 
 ``_bound_plan`` holds what depends only on the constellation and alpha,
 built once per (instance, validated float alpha): each spectrum row's
@@ -165,23 +168,16 @@ def _distance_spectrum(c):
     Each class of equal ``(|u|^2, |v|^2, n_bits)`` with multiplicity ``m``
     becomes one row per set bit ``2^k`` of ``m``, with ``scale = 2^k``.
     """
-    # One user's symbol pairs i*M + k, grouped on (|points[i] - points[k]|^2,
-    # hamming[i, k]) with their counts. Every entry is a finite float >=
-    # +0.0, for which equal values are equal bits.
-    diff = (c.points[:, None] - c.points[None, :]).ravel()
-    pair = np.stack([diff.real * diff.real + diff.imag * diff.imag, c.hamming.ravel()], axis=1)
-    classes, m = np.unique(pair, axis=0, return_counts=True)
-    abs2, bits = classes.T
-    # An event class is a user-1 class with a user-2 class. Distinct labels
-    # differ in some bit, so only the pair of identity classes has n_bits = 0.
+    abs2, bits, m = (c.pair_classes[name] for name in ("abs2", "bits", "count"))
+    # An event class is a user-1 class with a user-2 class, except the first
+    # pair: both users' identity class (class 0), in which no symbol changes.
     n = len(m)
     events = np.stack([np.repeat(abs2, n), np.tile(abs2, n), (bits[:, None] + bits).ravel()], 1)
-    keep = events[:, 2] > 0
     # no two class pairs share (|u|^2, |v|^2, n_bits) in Gray QPSK or 16QAM,
     # but pairs that do are merged into one class
-    classes, which = np.unique(events[keep], axis=0, return_inverse=True)
+    classes, which = np.unique(events[1:], axis=0, return_inverse=True)
     counts = np.zeros(len(classes), dtype=np.int64)
-    np.add.at(counts, which.ravel(), np.outer(m, m).ravel()[keep])
+    np.add.at(counts, which.ravel(), np.outer(m, m).ravel()[1:])
     powers = np.arange(int(counts.max()).bit_length())
     row, k = np.nonzero((counts[:, None] >> powers) & 1)
     return tuple(_frozen(np.array(a)) for a in (*classes[row].T, np.ldexp(1.0, k)))

@@ -19,7 +19,10 @@ in cache: on a 2-core x86-64 VM, 16QAM took 4.6-6.4 ms per 10^4 trials in
 per 2,500-trial slice. What depends only
 on the constellation and alpha (the scaled symbols, ``C``, ``P1``, ``P2``,
 ``d1^2`` and ``d2^2`` below) is built once per (constellation, alpha) by
-``_ml_plan``, not per call.
+``_ml_plan``, not per call. It takes ``d1^2`` and ``d2^2`` as ``alpha``
+and ``1 - alpha`` times the least nonzero ``|p_i - p_k|^2`` of
+``Constellation.pair_classes``, the one place that computes a per-user
+symbol distance.
 
 The first argmin of a trial's table is its decision when the second
 smallest entry exceeds the smallest by more than ``_MARGIN * T^2``. Here
@@ -92,10 +95,31 @@ the sent codeword's float ``_score`` is strictly the least of the M^2, and
 ``_ml_search`` returns it whatever its tie rule, as does ``detect("ml",
 ...)``.
 
-``_radius2`` computes ``s^2`` from computed Gram entries. Each of its terms
-is made a one-sided bound by a slack derived term by term, so the computed
-``s^2`` is at most the exact one:
+``_radius2`` computes ``s^2`` from computed Gram entries and the plan's
+``d1^2`` and ``d2^2``. Each of its terms is made a one-sided bound by a
+slack derived term by term, so the computed ``s^2`` is at most the exact
+one:
 
+* The plan's ``d1^2`` and ``d2^2`` are within ``12 u`` of the exact least
+  squared distances of its float ``x1`` and ``x2``, relative and in both
+  directions, and their computed sum is within ``14 u`` of the exact sum.
+  Each is ``fl(alpha m)`` or ``fl((1 - alpha) m)`` (``1 - alpha`` is
+  exact for alpha in [1/2, 1)), with ``m`` the least nonzero ``|p_i -
+  p_k|^2`` of ``Constellation.pair_classes``. The difference, the two
+  squares and the sum behind ``m``, on the unscaled points, round once
+  each, so ``m`` is within ``gamma_4`` of the exact least nonzero ``|p_i -
+  p_k|^2``, and the product adds ``u``: ``5.01 u`` in all. The plan's ``x
+  = fl(s p)``, with ``s = fl(sqrt(alpha))`` (or of ``1 - alpha``), has
+  ``s^2`` within ``2.01 u`` of ``alpha``. Each part of ``x[k] - x[l]`` is
+  exactly 0 where the parts of ``p_k`` and ``p_l`` are equal, and
+  otherwise within ``u s (|p_k| + |p_l|) <= 2.01 u s |p_k - p_l|`` of ``s
+  (p_k - p_l)``, taking each part alone: the ratio is 1 for QPSK's levels
+  and at most ``2 + 5 u`` for 16QAM's (adjacent levels of one sign). So
+  every exact ``|x[k] - x[l]|^2`` is within ``(1 + 2.01 u)^2 (1 + u)^2 -
+  1 < 6.1 u`` of ``alpha |p_k - p_l|^2``, and so is their least. The
+  computed ``d^2`` is then within ``(1 + 5.01 u) / (1 - 6.1 u) < 1 + 12
+  u`` of the exact one, above or below, and the sum of the two rounds once
+  more.
 * ``a b - |g|^2 - 32 u a b`` bounds ``a b - |g|^2`` from below. ``a`` and
   ``b`` are within ``gamma_4`` of exact, and each part of ``g`` within
   ``gamma_3 sqrt(ab)``. So the computed ``a b - |g|^2`` is within ``(9 +
@@ -111,15 +135,14 @@ is made a one-sided bound by a slack derived term by term, so the computed
   squared. So the computed value is at least ``lmax (1 + 17 u)``.
 * ``a d1^2 (1 - 32 u)`` and ``b d2^2 (1 - 32 u)`` bound ``a d1^2`` and ``b
   d2^2`` from below. ``a`` and ``b`` are within ``gamma_4`` of exact, and
-  so is each ``d^2``: the difference, the two squares and their sum round
-  once each. Forming ``d^2 (1 - 32 u)`` and its product with ``a`` or
-  ``b`` rounds twice more, so the computed term is at most ``(1 + 10.1
-  u)(1 - 32 u) < 1`` times its exact value.
+  each ``d^2`` within ``12 u`` (above). Forming ``d^2 (1 - 32 u)`` and
+  its product with ``a`` or ``b`` rounds twice more, so the computed term
+  is at most ``(1 + 18.1 u)(1 - 32 u) < 1`` times its exact value.
 * The computed ``lmin`` is at most ``(1 - 10 u)(1 + u) / (1 + 17 u) < 1 -
   25 u`` times the exact one, since ``a b >= a b - |g|^2``, or not
-  positive. The sum of the two ``d^2`` is within ``gamma_5`` of exact, and
+  positive. The sum of the two ``d^2`` is within ``14 u`` of exact, and
   the product rounds once, so ``lmin (d1^2 + d2^2)`` as computed stays
-  below its exact value too.
+  below its exact value too: ``(1 - 25 u)(1 + 14 u)(1 + u) < 1``.
 
 ``bracket_proven`` reads draw rows, not received vectors: for each of a
 row's 12 normals, ``rng.normal_brackets`` gives a midpoint ``m`` and a
@@ -168,7 +191,11 @@ times ``sqrt(n0)``:
 The computed check multiplies each of ``rho_H``, ``||wm|| + rho_w`` and
 ``T_up`` by ``1 + 2**-16``, which exceeds ``(1 + 2**-19)`` times the at
 most ``20 u`` relative rounding of each, their factors' roundings
-included. It takes ``E = ||wm|| + rho_w + 4 u T_up`` and subtracts ``4 u
+included. In ``S``, ``rho_H`` is multiplied by the computed ``sqrt(d1^2 +
+d2^2)``, at most ``9 u`` below the exact one (the sum within ``14 u``, the
+root and the product rounding once each), and ``1 + 2**-16`` exceeds
+``(1 + 2**-19)(1 + 20 u)(1 + 9 u)`` too, so that term is at least its
+exact value. It takes ``E = ||wm|| + rho_w + 4 u T_up`` and subtracts ``4 u
 T_up`` from ``S``. The latter covers the upward rounding of the square
 root and of ``S``'s difference, at most ``2 u s_m``, since ``s_m <=
 sqrt(am d1^2 / 2) <= T_up``. The roundings no slack covers, the last
@@ -237,8 +264,8 @@ class _MlPlan(NamedTuple):
     C: np.ndarray  # 8 x M^2 Gram-form coefficients, row-major codewords
     p1: float  # max |x1|
     p2: float  # max |x2|
-    d1: float  # least |x1[k] - x1[l]|^2, k != l
-    d2: float  # least |x2[k] - x2[l]|^2, k != l
+    d1: float  # alpha * m, m the least nonzero |p_i - p_k|^2: least |x1[k] - x1[l]|^2 within 12u
+    d2: float  # (1 - alpha) * m: least |x2[k] - x2[l]|^2 within 12u
 
 
 def _metric(e1, e2):
@@ -260,13 +287,6 @@ def _ml_search(r, h, x1, x2):
     return np.divmod(np.argmin(_score(r, h, np.repeat(x1, M), np.tile(x2, M)), axis=1), M)
 
 
-def _min_sq_distance(x):
-    """Least ``|x[k] - x[l]|^2`` over ``k != l``."""
-    d = x[:, None] - x
-    d2 = d.real**2 + d.imag**2
-    return d2[~np.eye(len(x), dtype=bool)].min()
-
-
 @functools.lru_cache
 def _ml_plan(c, alpha):
     """The ``_MlPlan`` of constellation ``c`` at the validated float ``alpha``, built once."""
@@ -275,9 +295,9 @@ def _ml_plan(c, alpha):
     ab = a.conj() * b
     C = np.stack([-2 * a.real, -2 * a.imag, -2 * b.real, -2 * b.imag,
                   2 * ab.real, -2 * ab.imag, a.real**2 + a.imag**2, b.real**2 + b.imag**2])
+    m = float(c.pair_classes["abs2"][1])  # least nonzero |p_i - p_k|^2: class 0 is the identity
     return _MlPlan(_frozen(x1), _frozen(x2), _frozen(C), float(np.abs(x1).max()),
-                   float(np.abs(x2).max()), float(_min_sq_distance(x1)),
-                   float(_min_sq_distance(x2)))
+                   float(np.abs(x2).max()), alpha * m, (1.0 - alpha) * m)
 
 
 def _gram(h11, h12, h21, h22):

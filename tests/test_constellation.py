@@ -4,6 +4,7 @@ A codeword is a pair of symbol indices; its bit distances are read from the
 one Hamming table, ``Constellation.hamming``.
 """
 
+import collections
 import itertools
 import math
 
@@ -84,6 +85,24 @@ def test_points_and_hamming_are_read_only_arrays(kind):
     for a, la in enumerate(c.labels):
         for b, lb in enumerate(c.labels):
             assert c.hamming[a, b] == sum(x != y for x, y in zip(la, lb))
+    # pair_classes: one user's M^2 ordered symbol pairs grouped on the exact
+    # float |p_i - p_k|^2 and hamming[i, k], sorted, identity class first
+    classes = c.pair_classes
+    assert isinstance(classes, np.ndarray) and classes.dtype == np.dtype(
+        [("abs2", np.float64), ("bits", np.int64), ("count", np.int64)])
+    with pytest.raises(ValueError):
+        classes[0] = (0.0, 0, 1)
+    with pytest.raises(ValueError):
+        classes["count"][0] = 1
+    assert classes["count"].sum() == c.M**2
+    enumerated = collections.Counter()
+    for i, p in enumerate(c.points.tolist()):
+        for k, q in enumerate(c.points.tolist()):
+            d = p - q
+            enumerated[d.real * d.real + d.imag * d.imag, int(c.hamming[i, k])] += 1
+    assert classes.tolist() == [(*key, n) for key, n in sorted(enumerated.items())]
+    assert classes[0].tolist() == (0.0, 0, c.M)
+    assert len(classes) == {"qpsk": 3, "qam16": 13}[kind]
 
 
 def test_qpsk_points_and_labels(qpsk):

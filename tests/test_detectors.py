@@ -433,6 +433,40 @@ def test_ml_certificates_hold_in_exact_arithmetic_built_trials():
         assert Fraction(float(s2[0])) <= exact_least_distance2(h, plan, 0)
         table, score = certificate_ratios(r, h, alpha, c)
         assert table <= 1 and score <= 1
+    # Orthogonal columns with exact Gram entries, one weak: the weak user's
+    # symbol alone is the nearest image, at exactly a d1^2 or b d2^2. At some
+    # alphas the plan's d^2 lies above the exact one, so each one-user term
+    # needs its (1 - 32u).
+    for alpha, weak in itertools.product(ALPHAS, ("user 1", "user 2")):
+        plan = detectors._ml_plan(c, alpha)
+        h = channel(1, *((2**-6, 0, 0, 1) if weak == "user 1" else (1, 0, 0, 0.5)))
+        s2 = detectors._radius2(detectors._gram(*h), plan)
+        least = exact_least_distance2(h, plan, 0)
+        assert Fraction(float(s2[0])) <= least and s2[0] > (1 - 1e-9) * float(least)
+
+
+def exact_least_sq_distance(x):
+    """Exact least ``|x[k] - x[l]|^2`` over ``k != l`` of the floats ``x``, as a Fraction."""
+    parts = [(Fraction(z.real), Fraction(z.imag)) for z in x.tolist()]
+    return min((a - c)**2 + (b - d)**2 for (a, b), (c, d) in itertools.combinations(parts, 2))
+
+
+@pytest.mark.parametrize("kind", ["qpsk", "qam16"])
+def test_ml_plan_distances_hold_in_exact_arithmetic(kind):
+    # The detectors docs' d^2 bullet: d1 and d2 are within 12u of the exact
+    # least squared distances of the plan's float x1 and x2, in both
+    # directions, and their float sum within 14u of the exact sum. Over 503
+    # alphas in [0.5, 1) each read at most 1.89u (QPSK) and 5.54u (16QAM).
+    c = build_constellation(kind)
+    u = Fraction(detectors._U)
+    alphas = [0.5, float(np.nextafter(0.5, 1)), *np.linspace(0.5, 0.99, 50).tolist(),
+              float(np.nextafter(1.0, 0))]
+    for alpha in alphas:
+        plan = detectors._ml_plan(c, alpha)
+        exact = [exact_least_sq_distance(x) for x in (plan.x1, plan.x2)]
+        for got, want in zip((plan.d1, plan.d2), exact):
+            assert abs(Fraction(got) - want) <= 12 * u * want
+        assert abs(Fraction(plan.d1 + plan.d2) - sum(exact)) <= 14 * u * sum(exact)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -484,6 +518,9 @@ def test_ml_plan_is_built_once_per_constellation_and_alpha():
     for a in (plan.x1, plan.x2, plan.C):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
+    # d1^2 and d2^2 are the power shares of the least nonzero |p_i - p_k|^2
+    m = c.pair_classes["abs2"][c.pair_classes["abs2"] > 0].min()
+    assert plan.d1 == 0.9 * m and plan.d2 == (1.0 - 0.9) * m
     # the next float up is its own key, with its own symbols
     nxt = detectors._ml_plan(c, float(np.nextafter(0.9, 1)))
     assert nxt is not plan and not np.array_equal(nxt.x2, plan.x2)
